@@ -6,6 +6,10 @@ inside the unit disk means a stable period-1 orbit; a real eigenvalue
 leaving through -1 is the period-doubling threshold the closed-form
 conditions approximate.  Sweeps track the eigenvalues across a
 parameter grid and locate the -1 crossings by bisection.
+
+The Jacobian behind every eigenvalue is exact: the saltation-matrix
+derivative from ``CycleEngine.step_jacobian``.  The central-difference
+``poincare_jacobian`` is kept as its independent cross-check.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ def poincare_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian of the cycle map at a period-1 orbit.
 
-    orbit is the (x, duty) pair from steady_state (a bare state vector is
+    The cross-check of the exact Jacobian that ``poles`` uses.  orbit is
+    the (x, duty) pair from steady_state (a bare state vector is
     accepted).  Every restep, perturbed ones included, must commute at an
     interior crossing; a saturated duty raises DegenerateOrbit since the
     map is not differentiable there.
@@ -94,21 +99,14 @@ def poincare_jacobian(
     _, duty = eng.step(x)
     if not 0.0 < duty < 1.0:
         raise DegenerateOrbit(f"orbit duty {duty} is saturated")
-    n = eng.n
-    J = np.empty((n, n))
-    for i in range(n):
-        d = rel * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += d
-        xm = x.copy()
-        xm[i] -= d
-        fp, dp = eng.step(xp)
-        fm, dm = eng.step(xm)
-        if not (0.0 < dp < 1.0 and 0.0 < dm < 1.0):
-            raise DegenerateOrbit(
-                "perturbed cycle saturates; orbit too close to a duty bound"
-            )
-        J[:, i] = (fp - fm) / (2.0 * d)
+    return cycle_jacobian(eng, x, rel, interior=True)
+
+
+def _orbit_jacobian(eng: CycleEngine, x: np.ndarray) -> np.ndarray:
+    """Exact cycle-map Jacobian at an orbit state; saturated duty is degenerate."""
+    _, duty, J = eng.step_jacobian(x)
+    if J is None:
+        raise DegenerateOrbit(f"orbit duty {duty} is saturated")
     return J
 
 
@@ -118,11 +116,15 @@ def poles(
     grid: int = 64,
     x_init="auto",
 ) -> PoleSet:
-    """Cycle-map eigenvalues at the period-1 orbit of an operating point."""
+    """Cycle-map eigenvalues at the period-1 orbit of an operating point.
+
+    The eigenvalues are those of the exact (saltation-matrix) Jacobian;
+    a saturated orbit or a crossing that grazes the ramp raises
+    DegenerateOrbit.
+    """
     eng = CycleEngine(build_closed_loop(params, scheme), grid)
-    x, duty = steady_state(params, scheme, x_init=x_init, engine=eng)
-    J = poincare_jacobian(params, scheme, (x, duty), engine=eng)
-    return PoleSet(_canonical(np.linalg.eigvals(J)))
+    x, _ = steady_state(params, scheme, x_init=x_init, engine=eng)
+    return PoleSet(_canonical(np.linalg.eigvals(_orbit_jacobian(eng, x))))
 
 
 @dataclass(frozen=True)
@@ -217,10 +219,11 @@ def pole_trajectory(
 ) -> PoleTrajectory:
     """Track cycle-map eigenvalues along a parameter sweep.
 
-    Eigenvalues are matched point to point for continuity; each -1
-    crossing of a real eigenvalue is refined by bisection to a relative
-    tolerance of 1e-6 in the swept parameter.  Failures at individual
-    points are recorded and the sweep continues.
+    Eigenvalues, of the exact Jacobian at every sweep point and every
+    bisection midpoint, are matched point to point for continuity; each
+    -1 crossing of a real eigenvalue is refined by bisection to a
+    relative tolerance of 1e-6 in the swept parameter.  Failures at
+    individual points are recorded and the sweep continues.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -237,18 +240,17 @@ def pole_trajectory(
             x0 = "auto"
         cold = isinstance(x0, str)
         try:
-            x, duty = steady_state(
+            x, _ = steady_state(
                 p, s, x_init=x0, warmup=128 if cold else 8, engine=eng
             )
         except _FAILURES:
             if not cold:
-                x, duty = steady_state(p, s, engine=eng)  # retry cold
+                x, _ = steady_state(p, s, engine=eng)  # retry cold
             else:
                 raise
         if warm_key is not None:
             warm[warm_key] = x.copy()
-        J = poincare_jacobian(p, s, (x, duty), engine=eng)
-        return np.linalg.eigvals(J)
+        return np.linalg.eigvals(_orbit_jacobian(eng, x))
 
     prev: Optional[Tuple[complex, ...]] = None
     for v in values:

@@ -258,6 +258,10 @@ class CycleEngine:
 
         self.P_on = _taylor_terms(M_on * self.dt)
         self.P_off = _taylor_terms(M_off * self.dt)
+        # the same series flattened into rows, so step_jacobian sums the
+        # propagator over any fraction of a cell in one product
+        self._P_on_rows = np.array(self.P_on).reshape(len(self.P_on), -1)
+        self._P_off_rows = np.array(self.P_off).reshape(len(self.P_off), -1)
         E_on = expm(M_on * self.dt)
         E_off = expm(M_off * self.dt)
         self.Phi_on = [np.eye(n + 1)]
@@ -294,35 +298,94 @@ class CycleEngine:
         u = brentq(g, 0.0, 1.0, xtol=self.u_tol, rtol=8.9e-16)
         return u, x_base
 
-    def _advance_from_cell(self, i: int, u: float, x_base: np.ndarray) -> np.ndarray:
-        """State at the period end given a crossing at u inside cell i."""
+    def _switch(self, x_aug: np.ndarray):
+        """Locate the commutation of the cycle that starts at x_aug.
+
+        Returns (duty, i, u, x_base): the switch turns off at fraction u
+        of cell i, and x_base = x(t_{i-1}).  A saturated cycle gives
+        i = None with duty 0.0 (the switch never turns on) or 1.0 (it
+        never turns off).
+        """
+        g = self.yPhi_on @ x_aug - self.h_grid
+        if g[0] <= 0.0:
+            return 0.0, None, None, None
+        below = np.nonzero(g <= 0.0)[0]
+        if below.size == 0:
+            return 1.0, None, None, None
+        i = int(below[0])
+        u, x_base = self._crossing_in_cell(i, x_aug)
+        return (i - 1 + u) / self.grid, i, u, x_base
+
+    def _cross(self, i: int, u: float, x_base: np.ndarray) -> np.ndarray:
+        """x(t_i): the state at the end of cell i, which switches off at u."""
         # on-stage partial step to the crossing
         x_star = np.zeros_like(x_base)
         for P in self.P_on[::-1]:
             x_star = x_star * u + P @ x_base
-        # off-stage remainder of the cell, then whole cells to the end
+        # off-stage remainder of the cell
         x_cell = np.zeros_like(x_base)
         w = 1.0 - u
         for P in self.P_off[::-1]:
             x_cell = x_cell * w + P @ x_star
-        return self.Phi_off[self.grid - i] @ x_cell
+        return x_cell
 
     def step(self, x: np.ndarray) -> Tuple[np.ndarray, float]:
         """One exact switching period: returns (x(T), duty)."""
         x_aug = np.append(x, 1.0)
-        g = self.yPhi_on @ x_aug - self.h_grid
-        if g[0] <= 0.0:
-            out = self.Phi_off[self.grid] @ x_aug
-            return out[:-1] / out[-1], 0.0
-        below = np.nonzero(g <= 0.0)[0]
-        if below.size == 0:
-            out = self.Phi_on[self.grid] @ x_aug
-            return out[:-1] / out[-1], 1.0
-        i = int(below[0])
-        u, x_base = self._crossing_in_cell(i, x_aug)
-        duty = (i - 1 + u) / self.grid
-        out = self._advance_from_cell(i, u, x_base)
+        duty, i, u, x_base = self._switch(x_aug)
+        if i is None:
+            out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
+        else:
+            x_cell = self._cross(i, u, x_base)
+            out = self.Phi_off[self.grid - i] @ x_cell
         return out[:-1] / out[-1], duty
+
+    def step_jacobian(
+        self, x: np.ndarray
+    ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """One period plus the exact Jacobian of the cycle map at x.
+
+        Returns (x(T), duty, J): duty is the one ``step`` gives and x(T)
+        agrees with it to rounding.  J is the saltation-matrix derivative
+
+            J = Phi_off(T - t*) [Phi_on(t*) - outer(jump, c Phi_on(t*)) / rate]
+
+        built on the crossing the step itself finds: c is the output row
+        of y, m_a the ramp slope, jump = dt (b_on - b_off), and
+        rate = dt (c (A x* + b_on) - m_a) is the rate per cell at which
+        y - h falls through zero at t*.  J is None for a saturated cycle
+        (duty 0 or 1): nothing switches, so the map is affine there and
+        says nothing about the switching orbit.  Raises DegenerateOrbit
+        when the crossing grazes the ramp (rate = 0), where the map has
+        no derivative.
+        """
+        x_aug = np.append(x, 1.0)
+        duty, i, u, x_base = self._switch(x_aug)
+        if i is None:
+            out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
+            return out[:-1] / out[-1], duty, None
+        # the stage propagators over the fractions u and 1 - u of cell i
+        m = self.n + 1
+        S_on = (u ** np.arange(len(self.P_on)) @ self._P_on_rows).reshape(m, m)
+        S_off = ((1.0 - u) ** np.arange(len(self.P_off))
+                 @ self._P_off_rows).reshape(m, m)
+        x_star = S_on @ x_base
+        Phi_end = self.Phi_off[self.grid - i] @ S_off
+        out = Phi_end @ x_star
+        loop, n = self.loop, self.n
+        f_on = loop.A @ x_star[:n] + loop.b_on
+        rate = self.dt * (loop.y_row @ f_on) - self.h_slope_dt
+        scale = self.dt * (np.abs(loop.y_row) @ np.abs(f_on)) + abs(self.h_slope_dt)
+        if not rate < -1e-12 * scale:
+            raise DegenerateOrbit(
+                "the crossing grazes the ramp; the cycle map has no "
+                "derivative there"
+            )
+        Phi_star = (S_on @ self.Phi_on[i - 1])[:n, :n]
+        jump = self.dt * (loop.b_on - loop.b_off)
+        saltated = Phi_star - np.outer(jump / rate, loop.y_row @ Phi_star)
+        J = Phi_end[:n, :n] @ saltated
+        return out[:-1] / out[-1], duty, J
 
     def step_dense(self, x: np.ndarray):
         """One period with grid-resolution sampling of (x, y, h, v_d).
@@ -331,43 +394,26 @@ class CycleEngine:
         j = 0..grid-1 (the cycle's half-open sample set).
         """
         x_aug = np.append(x, 1.0)
-        g = self.yPhi_on @ x_aug - self.h_grid
+        duty, i, u, x_base = self._switch(x_aug)
         xs = np.empty((self.grid, self.n))
         vds = np.empty(self.grid)
         v_s = self.loop.params.v_s
-        if g[0] <= 0.0:
-            duty = 0.0
+        if i is None:
+            Phi = self.Phi_on if duty else self.Phi_off
             for j in range(self.grid):
-                xs[j] = (self.Phi_off[j] @ x_aug)[:-1]
-            vds[:] = 0.0
-            out = self.Phi_off[self.grid] @ x_aug
+                xs[j] = (Phi[j] @ x_aug)[:-1]
+            vds[:] = v_s if duty else 0.0
+            out = Phi[self.grid] @ x_aug
         else:
-            below = np.nonzero(g <= 0.0)[0]
-            if below.size == 0:
-                duty = 1.0
-                for j in range(self.grid):
+            x_cell = self._cross(i, u, x_base)
+            for j in range(self.grid):
+                if j < i:
                     xs[j] = (self.Phi_on[j] @ x_aug)[:-1]
-                vds[:] = v_s
-                out = self.Phi_on[self.grid] @ x_aug
-            else:
-                i = int(below[0])
-                u, x_base = self._crossing_in_cell(i, x_aug)
-                duty = (i - 1 + u) / self.grid
-                x_star = np.zeros_like(x_base)
-                for P in self.P_on[::-1]:
-                    x_star = x_star * u + P @ x_base
-                x_cell = np.zeros_like(x_base)
-                w = 1.0 - u
-                for P in self.P_off[::-1]:
-                    x_cell = x_cell * w + P @ x_star
-                for j in range(self.grid):
-                    if j < i:
-                        xs[j] = (self.Phi_on[j] @ x_aug)[:-1]
-                        vds[j] = v_s
-                    else:
-                        xs[j] = (self.Phi_off[j - i] @ x_cell)[:-1]
-                        vds[j] = 0.0
-                out = self.Phi_off[self.grid - i] @ x_cell
+                    vds[j] = v_s
+                else:
+                    xs[j] = (self.Phi_off[j - i] @ x_cell)[:-1]
+                    vds[j] = 0.0
+            out = self.Phi_off[self.grid - i] @ x_cell
         ys = xs @ self.loop.y_row + self.loop.y_const
         return out[:-1] / out[-1], duty, xs, ys, vds
 
@@ -542,8 +588,15 @@ def simulate(
 # Periodic orbit (period-1 fixed point) and the cycle-map Jacobian.
 
 
-def cycle_jacobian(engine: CycleEngine, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian of the one-cycle map at x."""
+def cycle_jacobian(
+    engine: CycleEngine, x: np.ndarray, rel: float = 1e-6, *, interior: bool = False
+) -> np.ndarray:
+    """Central finite-difference Jacobian of the one-cycle map at x.
+
+    The independent cross-check of ``CycleEngine.step_jacobian``; its
+    error shrinks as rel**2.  With interior=True every perturbed cycle
+    must commute at an interior crossing, else DegenerateOrbit.
+    """
     n = engine.n
     J = np.empty((n, n))
     for i in range(n):
@@ -552,8 +605,12 @@ def cycle_jacobian(engine: CycleEngine, x: np.ndarray, rel: float = 1e-6) -> np.
         xp[i] += d
         xm = x.copy()
         xm[i] -= d
-        fp, _ = engine.step(xp)
-        fm, _ = engine.step(xm)
+        fp, dp = engine.step(xp)
+        fm, dm = engine.step(xm)
+        if interior and not (0.0 < dp < 1.0 and 0.0 < dm < 1.0):
+            raise DegenerateOrbit(
+                "perturbed cycle saturates; orbit too close to a duty bound"
+            )
         J[:, i] = (fp - fm) / (2.0 * d)
     return J
 
@@ -572,9 +629,13 @@ def steady_state(
     A damped Newton iteration solves P(x) = x, first straight from the
     initial guess (which also reaches orbits that are unstable, where
     settling would walk away), then after warm-up settling runs if that
-    fails.  Saturated-duty iterates are rejected: the target is the
-    switching orbit, not the degenerate always-off/always-on fixed
-    points.  Raises NoConvergence when every attempt fails.
+    fails.  Each iterate takes its residual and its exact Jacobian from
+    one ``step_jacobian`` call, so both share one crossing solve; only an
+    iterate whose cycle saturates (or grazes the ramp) falls back to the
+    finite-difference ``cycle_jacobian``.  Saturated-duty fixed points
+    are rejected: the target is the switching orbit, not the degenerate
+    always-off/always-on fixed points.  Raises NoConvergence when every
+    attempt fails.
     """
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
@@ -591,9 +652,16 @@ def steady_state(
                 raise NoConvergence("state diverged while settling")
         return x
 
-    def newton(x):
-        for _ in range(max_iter):
+    def evaluate(x):
+        try:
+            return eng.step_jacobian(x)
+        except DegenerateOrbit:
             fx, duty = eng.step(x)
+            return fx, duty, None
+
+    def newton(x):
+        fx, duty, J = evaluate(x)
+        for _ in range(max_iter):
             r = fx - x
             scale = 1.0 + float(np.max(np.abs(x)))
             if float(np.max(np.abs(r))) <= 1e-12 * scale:
@@ -602,7 +670,11 @@ def steady_state(
                         "Newton landed on a saturated-duty fixed point"
                     )
                 return x, duty
-            J = cycle_jacobian(eng, x)
+            if J is None:
+                # a saturated cycle is affine with J = Phi(T); an integrating
+                # compensator puts an eigenvalue of exactly 1 in it and makes
+                # J - I singular, so such an iterate keeps the difference step
+                J = cycle_jacobian(eng, x)
             try:
                 dx = np.linalg.solve(J - np.eye(eng.n), -r)
             except np.linalg.LinAlgError:
@@ -611,14 +683,14 @@ def steady_state(
             r0 = float(np.max(np.abs(r)))
             for _ in range(16):
                 x_new = x + lam * dx
-                fx_new, duty_new = eng.step(x_new)
+                fx_new, duty_new, J_new = evaluate(x_new)
                 if (0.0 < duty_new < 1.0
                         and float(np.max(np.abs(fx_new - x_new))) < r0):
                     break
                 lam *= 0.5
             else:
                 raise NoConvergence("Newton damping failed to reduce the residual")
-            x = x_new
+            x, fx, duty, J = x_new, fx_new, duty_new, J_new
         raise NoConvergence("orbit Newton did not converge")
 
     last: Optional[NoConvergence] = None

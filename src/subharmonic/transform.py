@@ -81,6 +81,9 @@ _CSCH_EVEN = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0, 127.0 / 604800.0)
 
 # Below this the two csch terms cancel catastrophically; switch to Taylor.
 _P_SMALL = 1e-3
+# correction_c also cancels alpha0 and alpha1 p against them, leaving a
+# p**2-sized remainder, so its direct form stays accurate only further out
+_C_SMALL = 1e-2
 _TAYLOR_ORDER = 7
 
 
@@ -153,11 +156,11 @@ def correction_c(D, p):
 
     The remainder of the kernel beyond its two leading Taylor terms; it
     starts at order p^2 and is negligible for p < 0.1.  Computed from the
-    Taylor tail below the small-p threshold to avoid cancellation.
+    Taylor tail below p = 1e-2 to avoid cancellation.
     """
     D = _check_duty(D)
     p = _check_p(p)
-    small = p < _P_SMALL
+    small = p < _C_SMALL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = (
             _alpha_direct(D, p)
@@ -269,12 +272,13 @@ def _raw_terms(evalT, D: float, omega_s: float, K: int) -> np.ndarray:
     return 2.0 * ((1.0 - phase) * full - half).real
 
 
-def _constant_part(T) -> float:
+def _constant_part(T, omega_s: float) -> float:
     """High-frequency limit T(j inf), split off before summing the series."""
     if isinstance(T, RationalTF):
         return T.at_infinity()
-    # black-box evaluator: probe three decades past any physical corner
-    probes = np.array([1.0e6, 4.0e6, 1.6e7])
+    # black-box evaluator: probe at 1e9 to 1.6e10 switching frequencies,
+    # far past the summed band and any corner a loop gain has
+    probes = np.array([1.0e9, 4.0e9, 1.6e10]) * (omega_s / (2.0 * np.pi))
     vals = np.asarray(T(1j * probes), dtype=complex)
     mags = np.abs(vals)
     if mags[-1] <= 0.5 * max(mags[0], 1e-300):
@@ -304,7 +308,7 @@ def f_transform_series(T, D, omega_s: float, K: int = 10_000):
         raise DomainError("omega_s must be positive")
     D = float(_check_duty(np.asarray(D, dtype=float)))
 
-    t_inf = _constant_part(T)
+    t_inf = _constant_part(T, omega_s)
     if isinstance(T, RationalTF):
         evalT = lambda s: T(s) - t_inf
     elif t_inf != 0.0:

@@ -200,7 +200,7 @@ def test_pole_single_point_spectrum(tmp_path):
     header, rows = read_csv(out)
     assert header[0] == "v_s"
     res = sorted(float(rows[0][2 * i + 1]) for i in range(5))
-    assert res[0] == pytest.approx(-0.99962120, abs=1e-6)
+    assert res[0] == pytest.approx(-0.99959132, abs=1e-6)
 
 
 def test_stable_only_sweep_reports_no_crossings(tmp_path):

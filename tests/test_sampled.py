@@ -1,15 +1,20 @@
 """Cycle-map eigenvalues, pole trajectories, and threshold bisection."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import subharmonic.sampled as sampled
 from subharmonic import (
     ACMC,
     RLP,
+    CycleEngine,
     DegenerateOrbit,
     build_closed_loop,
+    cycle_jacobian,
     lplot,
     poincare_jacobian,
     pole_trajectory,
@@ -50,12 +55,12 @@ def test_marginal_spectrum_anchor(ex3, sch3):
     ps = poles(ex3, sch3)
     eig = np.asarray(ps.eigenvalues)
     re = np.sort(eig.real)
-    assert re[0] == pytest.approx(-0.9996212044892903, abs=1e-6)
-    assert ps.most_negative_real() == pytest.approx(-0.99962120, abs=1e-6)
+    assert re[0] == pytest.approx(-0.9995913242189292, abs=1e-6)
+    assert ps.most_negative_real() == pytest.approx(-0.99959132, abs=1e-6)
     np.testing.assert_allclose(
         re[1:],
-        sorted([-0.050138605380532227, 0.5099713617364755,
-                0.88518986823491519, 0.9484991623937653]),
+        sorted([-0.05013846283272728, 0.5099713795332764,
+                0.8852019315733263, 0.9484928340088808]),
         atol=1e-6)
     assert np.max(np.abs(eig.imag)) < 1e-9
 
@@ -133,6 +138,66 @@ def test_classification_agrees_with_spectrum(name, ex1, ex2, sch2, ex3,
         assert ps.spectral_radius < 1.0
     else:
         assert ps.most_negative_real() < -1.0
+
+
+# ------------------------------------------------------------ exact Jacobian
+
+
+def _engine_at_orbit(params, scheme):
+    eng = CycleEngine(build_closed_loop(params, scheme))
+    x, _ = steady_state(params, scheme, engine=eng)
+    return eng, x
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_exact_jacobian_determinant_identity(name, ex1, ex2, sch2, ex3,
+                                             sch4_at):
+    """The stage flows contribute exp(tr(A) t) to det J and the saltation
+    its rank-one factor: det J = exp(tr(A) T) (c (A x* + b_off) - m_a)
+    / (c (A x* + b_on) - m_a), with x* the state at the crossing, here
+    propagated by scipy's expm rather than the engine's series."""
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng, x = _engine_at_orbit(params, scheme)
+    _, duty, J = eng.step_jacobian(x)
+    loop, n = eng.loop, eng.n
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = loop.A
+    M[:n, n] = loop.b_on
+    x_star = (expm(M * duty * params.T) @ np.append(x, 1.0))[:n]
+    c, m_a = loop.y_row, params.ramp_slope
+    det = (math.exp(np.trace(loop.A) * params.T)
+           * (c @ (loop.A @ x_star + loop.b_off) - m_a)
+           / (c @ (loop.A @ x_star + loop.b_on) - m_a))
+    assert abs(np.linalg.det(J) - det) <= 1e-12 * abs(det)
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_exact_jacobian_matches_central_differences(name, ex1, ex2, sch2,
+                                                    ex3, sch4_at):
+    # the difference quotient converges as rel**2: about 2e-7 at 1e-7
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng, x = _engine_at_orbit(params, scheme)
+    _, _, J = eng.step_jacobian(x)
+    J_fd = cycle_jacobian(eng, x, rel=1e-7)
+    assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_poles_rejects_saturated_orbit(name, ex1, ex2, sch2, ex3, sch4_at,
+                                       monkeypatch):
+    # steady_state never returns a saturated orbit, so hand poles one: the
+    # orbit state shifted along the output row until y starts below the ramp
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng, x = _engine_at_orbit(params, scheme)
+    c = eng.loop.y_row
+    y0 = c @ x + eng.loop.y_const
+    x_sat = x - (y0 - params.V_l + 1.0) * c / (c @ c)
+    _, duty, J = eng.step_jacobian(x_sat)
+    assert duty == 0.0 and J is None
+    monkeypatch.setattr(sampled, "steady_state",
+                        lambda *args, **kwargs: (x_sat, duty))
+    with pytest.raises(DegenerateOrbit):
+        poles(params, scheme)
 
 
 # ------------------------------------------------------------ trajectories

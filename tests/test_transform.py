@@ -1,5 +1,6 @@
 """Kernel functions and the series evaluation of the ripple functional."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,6 +41,28 @@ def test_alpha0_antisymmetric_alpha1_symmetric(D):
 @pytest.mark.parametrize("D", D_GRID)
 def test_correction_vanishes_at_p_zero(D):
     assert correction_c(D, 0.0) == 0.0
+
+
+def _correction_c_mp(D, p):
+    """c = alpha - alpha0 + alpha1 p straight from the csch form, 40 digits."""
+    with mpmath.workdps(40):
+        D, p = mpmath.mpf(D), mpmath.mpf(p)
+        pi = mpmath.pi
+        a = (2 * pi * mpmath.csch(2 * pi * p)
+             - pi * mpmath.exp(pi * p * (1 - 2 * D)) * mpmath.csch(pi * p))
+        return a - pi * (2 * D - 1) + pi**2 * (2 * D * D - 2 * D + 1) * p
+
+
+@pytest.mark.parametrize("D", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_correction_c_matches_mpmath(D):
+    # both sides of the Taylor switch, and p = 1e-3 to 1.5e-3, where the
+    # direct form still cancels most of its digits
+    ps = np.concatenate([np.logspace(-5, -1, 81),
+                         [1e-3, 1.5e-3, np.nextafter(1e-2, 0.0), 1e-2]])
+    for p in ps:
+        ref = _correction_c_mp(D, p)
+        err = abs((mpmath.mpf(correction_c(D, p)) - ref) / ref)
+        assert err <= 1e-9, (p, float(err))
 
 
 def test_kernel_anchor_values():
@@ -203,6 +226,25 @@ def test_series_maps_unity_to_minus_one():
     assert f_transform_series(RationalTF(1.0), 0.3, WS) == -1.0
     boxed = lambda s: np.ones_like(np.asarray(s, dtype=complex))
     assert f_transform_series(boxed, 0.3, WS) == -1.0
+
+
+@pytest.mark.parametrize("f_s", [50e3, 1e6])
+def test_callable_series_matches_rational_at_converter_rates(f_s):
+    # the constant split of a plain callable must judge its high-frequency
+    # limit relative to the switching rate, not at fixed frequencies
+    w_s, D, z = 2.0 * np.pi * f_s, 0.3, 0.8
+    for p in P_GRID:
+        wp, wz = p * w_s, z * w_s
+        shapes = [
+            (RationalTF(1.0 / wp, poles=[wp]),
+             lambda s: (1.0 / wp) / (1.0 + s / wp)),
+            (RationalTF(1.0, poles=[wp]), lambda s: 1.0 / (1.0 + s / wp)),
+            (RationalTF(1.0, zeros=[wz], poles=[wp]),
+             lambda s: (1.0 + s / wz) / (1.0 + s / wp)),
+        ]
+        for tf, fn in shapes:
+            want = f_transform_series(tf, D, w_s)
+            assert f_transform_series(fn, D, w_s) == pytest.approx(want, rel=1e-9)
 
 
 def test_rational_route_agrees_with_catalog():
