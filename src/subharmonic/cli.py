@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,17 +33,15 @@ from .errors import (
 )
 from .sampled import pole_trajectory
 from .schemes import (
-    ACMC,
-    VMC3,
-    acmc_gain,
     acmc_window_estimate,
     closed_form_lvalue,
     contour_data,
     duty_ratio,
+    grid_crossings,
     loop_gain_hf,
     lplot,
     solve_critical,
-    vmc3_gain,
+    sweep_point,
 )
 from .simulation import build_closed_loop, simulate
 from .transform import f_transform_series
@@ -121,15 +119,10 @@ def _series_lvalue(params, scheme, D: float, terms: int) -> float:
     return f_transform_series(tf, D, params.omega_s, K=terms)
 
 
-def _sweep_or_fail(cfg: RunConfig, allowed: Sequence[str]) -> SweepSpec:
+def _sweep_or_fail(cfg: RunConfig) -> SweepSpec:
     if cfg.sweep is None:
         raise ConfigError("this command needs a sweep "
                           "(config key 'sweep' or flag --sweep)")
-    if cfg.sweep.variable not in allowed:
-        raise ConfigError(
-            f"sweep variable {cfg.sweep.variable!r} not supported here; "
-            f"one of {', '.join(allowed)}"
-        )
     return cfg.sweep
 
 
@@ -152,11 +145,8 @@ def cmd_critical(cfg: RunConfig) -> int:
     print(f"verdict = {'stable' if lvalue < 1.0 else 'unstable'}")
     value = float("nan")
     if cfg.solve_for:
-        res = solve_critical(cfg.params, cfg.scheme, cfg.solve_for,
-                             duty=cfg.duty)
-        value = res.critical_value
-        if value is None:
-            raise NoRoot(f"no finite critical {cfg.solve_for}")
+        value = solve_critical(cfg.params, cfg.scheme, cfg.solve_for,
+                               duty=cfg.duty).critical_value
         print(f"critical {cfg.solve_for} = {_fmt(value)}")
     out = _default_out(cfg, "critical")
     _write_csv(
@@ -169,13 +159,15 @@ def cmd_critical(cfg: RunConfig) -> int:
 
 
 def cmd_lplot(cfg: RunConfig) -> int:
-    sweep = _sweep_or_fail(cfg, ("D", "p", "v_s", "k_p"))
+    sweep = _sweep_or_fail(cfg)
     grid = sweep.grid()
     if cfg.terms > 0:
+        at = sweep_point(cfg.params, cfg.scheme, sweep.variable)
         lvalues = np.array(_thread_map(
-            lambda v: _lvalue_series_at(cfg, sweep.variable, v), grid
+            lambda v: _lvalue_series_at(cfg, at, v), grid
         ))
-        crossings = _grid_crossings(grid, lvalues)
+        # linear interpolation is enough for a summary on a dense grid
+        crossings = grid_crossings(grid, lvalues)
     else:
         curve = lplot(cfg.params, cfg.scheme, sweep.variable, grid,
                       duty=cfg.duty)
@@ -200,45 +192,14 @@ def cmd_lplot(cfg: RunConfig) -> int:
     return 0
 
 
-def _lvalue_series_at(cfg: RunConfig, variable: str, value: float) -> float:
-    params, scheme = cfg.params, cfg.scheme
-    D = cfg.duty
-    if variable == "D":
-        D = float(value)
-    elif variable == "v_s":
-        params = dataclasses.replace(params, v_s=float(value))
-    elif variable == "k_p":
-        scheme = dataclasses.replace(scheme, k_p=float(value))
-    elif variable == "p":
-        if not isinstance(scheme, (ACMC, VMC3)):
-            raise DomainError(
-                "series evaluation over p needs a pole-bearing compensator"
-            )
-        scheme = dataclasses.replace(scheme, omega_p=float(value) * params.omega_s)
+def _lvalue_series_at(cfg: RunConfig, at, value: float) -> float:
+    params, scheme, D, _ = at(float(value))
     if D is None:
-        D = duty_ratio(params, scheme)
+        D = cfg.duty if cfg.duty is not None else duty_ratio(params, scheme)
     try:
         return _series_lvalue(params, scheme, D, cfg.terms)
     except _DOMAIN_ERRORS:
         return float("nan")
-
-
-def _grid_crossings(grid: np.ndarray, lvalues: np.ndarray) -> List[float]:
-    g = lvalues - 1.0
-    out = []
-    for i in range(len(grid) - 1):
-        a, b = g[i], g[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            out.append(float(grid[i]))
-        elif a * b < 0.0:
-            # linear interpolation is enough for a summary on a dense grid
-            t = a / (a - b)
-            out.append(float(grid[i] + t * (grid[i + 1] - grid[i])))
-    if np.isfinite(g[-1]) and g[-1] == 0.0:
-        out.append(float(grid[-1]))
-    return out
 
 
 def cmd_contour(cfg: RunConfig) -> int:
@@ -263,12 +224,9 @@ def cmd_contour(cfg: RunConfig) -> int:
 
 
 def cmd_window(cfg: RunConfig) -> int:
-    if isinstance(cfg.scheme, ACMC):
-        K = acmc_gain(cfg.params, cfg.scheme)
-    elif isinstance(cfg.scheme, VMC3):
-        K = vmc3_gain(cfg.params, cfg.scheme)
-    else:
+    if not hasattr(cfg.scheme, "gain"):
         raise ConfigError("window needs an acmc or vmc3 scheme")
+    K = cfg.scheme.gain(cfg.params)
     D = _resolve_duty(cfg)
     est_lo, est_hi = acmc_window_estimate(K, D)
     sweep_p = cfg.sweep_p or SweepSpec("p", 0.02, 0.98, 481)
@@ -348,7 +306,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_poles(cfg: RunConfig) -> int:
-    sweep = _sweep_or_fail(cfg, ("k_p", "v_s", "omega_p", "p", "K_c", "v_r"))
+    sweep = _sweep_or_fail(cfg)
     grid = sweep.grid()
     traj = pole_trajectory(cfg.params, cfg.scheme, sweep.variable, grid)
     dim = build_closed_loop(cfg.params, cfg.scheme).dim

@@ -8,13 +8,13 @@ loudly instead of silently running defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .schemes import ACMC, CFPVR, CMC, PVMC, RLP, VMC3, BuckParams, ControlScheme
+from .schemes import SCHEMES, SWEEP_VARIABLES, BuckParams, ControlScheme
 
 __all__ = ["SweepSpec", "RunConfig", "parse_sweep", "load_config"]
 
@@ -35,9 +35,6 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-_SWEEP_VARS = ("D", "p", "v_s", "k_p", "omega_p", "K_c", "v_r")
-
-
 def parse_sweep(text: str) -> SweepSpec:
     """Parse ``var:start:stop:n`` with an optional ``:log`` suffix."""
     parts = text.split(":")
@@ -54,9 +51,9 @@ def parse_sweep(text: str) -> SweepSpec:
     var = parts[0].strip()
     if not var:
         raise ConfigError("sweep variable name is empty")
-    if var not in _SWEEP_VARS:
+    if var not in SWEEP_VARIABLES:
         raise ConfigError(
-            f"unknown sweep variable {var!r}; one of {', '.join(_SWEEP_VARS)}"
+            f"unknown sweep variable {var!r}; one of {', '.join(SWEEP_VARIABLES)}"
         )
     try:
         start, stop = float(parts[1]), float(parts[2])
@@ -67,18 +64,6 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError("sweep needs at least one point")
     return SweepSpec(var, start, stop, count, log)
 
-
-_PARAM_KEYS = ("v_s", "v_r", "V_l", "V_h", "f_s", "L", "R")
-_OPT_PARAM_KEYS = ("C", "R_c")
-
-_SCHEME_KEYS = {
-    "cmc": (),
-    "pvmc": ("k_p",),
-    "cfpvr": ("k_p",),
-    "rlp": ("k_p",),
-    "acmc": ("R_s", "K_c", "z_c", "omega_p"),
-    "vmc3": ("K_c", "kappa_z", "omega_p"),
-}
 
 _OPTION_KEYS = ("duty", "sweep", "sweep_d", "sweep_p", "cycles", "terms",
                 "out", "solve_for", "divergence_bound")
@@ -137,27 +122,22 @@ def _get_int(raw: Dict[str, str], key: str) -> int:
         raise ConfigError(f"key {key!r}: not an integer: {raw[key]!r}") from None
 
 
-def _build_scheme(name: str, raw: Dict[str, str]) -> ControlScheme:
-    vals = {k: _get_float(raw, k) for k in _SCHEME_KEYS[name] if k in raw}
-    missing = [k for k in _SCHEME_KEYS[name] if k not in raw]
+def _keys(cls):
+    return [f.name for f in fields(cls)]
+
+
+def _build(cls, raw: Dict[str, str], what: str):
+    """cls from the keys named like its fields; fields with no default
+    are required."""
+    vals = {k: _get_float(raw, k) for k in _keys(cls) if k in raw}
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in raw]
     if missing:
-        raise ConfigError(
-            f"scheme {name!r} needs key(s): {', '.join(missing)}"
-        )
+        raise ConfigError(f"{what} needs key(s): {', '.join(missing)}")
     try:
-        if name == "cmc":
-            return CMC()
-        if name == "pvmc":
-            return PVMC(**vals)
-        if name == "cfpvr":
-            return CFPVR(**vals)
-        if name == "rlp":
-            return RLP(**vals)
-        if name == "acmc":
-            return ACMC(**vals)
-        return VMC3(**vals)
+        return cls(**vals)
     except ValueError as exc:
-        raise ConfigError(f"scheme {name!r}: {exc}") from None
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def build_config(raw: Dict[str, str]) -> RunConfig:
@@ -165,34 +145,18 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
     if "scheme" not in raw:
         raise ConfigError("missing required key 'scheme'")
     name = raw["scheme"].lower()
-    if name not in _SCHEME_KEYS:
+    if name not in SCHEMES:
         raise ConfigError(
             f"unknown scheme {raw['scheme']!r}; "
-            f"one of {', '.join(sorted(_SCHEME_KEYS))}"
+            f"one of {', '.join(sorted(SCHEMES))}"
         )
-    allowed = (
-        {"scheme"}
-        | set(_PARAM_KEYS)
-        | set(_OPT_PARAM_KEYS)
-        | set(_SCHEME_KEYS[name])
-        | set(_OPTION_KEYS)
-    )
+    allowed = ({"scheme"} | set(_keys(BuckParams)) | set(_keys(SCHEMES[name]))
+               | set(_OPTION_KEYS))
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
-    missing = [k for k in _PARAM_KEYS if k not in raw]
-    if missing:
-        raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-
-    kwargs = {k: _get_float(raw, k) for k in _PARAM_KEYS}
-    for k in _OPT_PARAM_KEYS:
-        if k in raw:
-            kwargs[k] = _get_float(raw, k)
-    try:
-        params = BuckParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    scheme = _build_scheme(name, raw)
+    params = _build(BuckParams, raw, "the converter")
+    scheme = _build(SCHEMES[name], raw, f"scheme {name!r}")
 
     duty = _get_float(raw, "duty") if "duty" in raw else None
     if duty is not None and not 0.0 < duty < 1.0:

@@ -14,8 +14,6 @@ derivative from ``CycleEngine.step_jacobian``.  The central-difference
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,7 +28,7 @@ from .errors import (
     NumericalFailure,
     UnsupportedStructure,
 )
-from .schemes import ACMC, VMC3, BuckParams, ControlScheme
+from .schemes import BuckParams, ControlScheme, sweep_point
 from .simulation import CycleEngine, build_closed_loop, cycle_jacobian, steady_state
 
 __all__ = [
@@ -103,10 +101,16 @@ def poincare_jacobian(
 
 
 def _orbit_jacobian(eng: CycleEngine, x: np.ndarray) -> np.ndarray:
-    """Exact cycle-map Jacobian at an orbit state; saturated duty is degenerate."""
-    _, duty, J = eng.step_jacobian(x)
-    if J is None:
-        raise DegenerateOrbit(f"orbit duty {duty} is saturated")
+    """Exact cycle-map Jacobian at an orbit state; saturated duty is degenerate.
+
+    Reuses the Jacobian steady_state left on the engine when x is the
+    orbit it returned.
+    """
+    orbit_x, J = eng.orbit
+    if orbit_x is not x or J is None:
+        _, duty, J = eng.step_jacobian(x)
+        if J is None:
+            raise DegenerateOrbit(f"orbit duty {duty} is saturated")
     return J
 
 
@@ -163,8 +167,6 @@ class PoleTrajectory:
         return out
 
 
-_SWEEPABLE = ("k_p", "v_s", "omega_p", "p", "K_c", "v_r")
-
 _FAILURES = (
     DegenerateOrbit,
     NoConvergence,
@@ -173,30 +175,6 @@ _FAILURES = (
     Divergence,
     NumericalFailure,
 )
-
-
-def _apply_sweep(
-    params: BuckParams, scheme: ControlScheme, variable: str, value: float
-):
-    if variable == "v_s":
-        return dataclasses.replace(params, v_s=value), scheme
-    if variable == "v_r":
-        return dataclasses.replace(params, v_r=value), scheme
-    if variable == "k_p":
-        if not hasattr(scheme, "k_p"):
-            raise DomainError(f"{type(scheme).__name__} has no gain k_p")
-        return params, dataclasses.replace(scheme, k_p=value)
-    if variable == "K_c":
-        if not hasattr(scheme, "K_c"):
-            raise DomainError(f"{type(scheme).__name__} has no gain K_c")
-        return params, dataclasses.replace(scheme, K_c=value)
-    if variable in ("omega_p", "p"):
-        if not isinstance(scheme, (ACMC, VMC3)):
-            raise DomainError("omega_p sweeps need a pole-bearing compensator")
-        wp = value * params.omega_s if variable == "p" else value
-        return params, dataclasses.replace(scheme, omega_p=wp)
-    raise DomainError(f"unknown sweep variable {variable!r}; "
-                      f"one of {_SWEEPABLE}")
 
 
 def _match(prev: Sequence[complex], eigs: Tuple[complex, ...]) -> Tuple[complex, ...]:
@@ -228,12 +206,15 @@ def pole_trajectory(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise DomainError("sweep values must form a 1-d grid")
+    if variable == "D":
+        raise DomainError("the switched loop sets its own duty; D cannot be swept")
+    at = sweep_point(params, scheme, variable)
     pole_sets: List[Optional[PoleSet]] = []
     errors: List[Tuple[float, str]] = []
     warm = {}
 
     def eigs_at(value, warm_key=None):
-        p, s = _apply_sweep(params, scheme, variable, value)
+        p, s, _, _ = at(value)
         eng = CycleEngine(build_closed_loop(p, s), grid)
         x0 = warm.get(warm_key, "auto")
         if x0 is None:

@@ -5,14 +5,18 @@ F-transform gives a closed-form stability number L; the subharmonic
 boundary is L = 1 and L < 1 is the stable side.  The formulas here are
 algebraic in the kernel functions of ``transform``; the series oracle and
 the switched simulator provide independent cross-checks.
+
+A scheme is one class: its config keys, loop gain, nominal duty, closed
+form, critical solves and closed-loop wiring are all declared on it (see
+``ControlScheme``), and the module-level functions dispatch to it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import bisect, brentq
@@ -29,9 +33,12 @@ __all__ = [
     "ACMC",
     "VMC3",
     "RLP",
+    "SCHEMES",
+    "SWEEP_VARIABLES",
     "ControlScheme",
     "CriticalResult",
     "LPlotCurve",
+    "Wiring",
     "power_stage_vo",
     "power_stage_il",
     "loop_gain_hf",
@@ -55,6 +62,8 @@ __all__ = [
     "acmc_window_estimate",
     "critical_vmc3",
     "vmc3_gain",
+    "sweep_point",
+    "grid_crossings",
     "lplot",
     "contour_data",
     "solve_critical",
@@ -128,79 +137,19 @@ class BuckParams:
         return self.C
 
 
-def _positive(name, value):
-    if not value > 0.0:
-        raise DomainError(f"{name} must be positive")
+def _require_vm(params: BuckParams) -> float:
+    if params.V_m <= 0.0:
+        raise DomainError("zero ramp amplitude: V_m must be positive here")
+    return params.V_m
 
 
-@dataclass(frozen=True)
-class CMC:
-    """Peak current-mode control: y = i_c - i_L with unit current gain."""
-
-
-@dataclass(frozen=True)
-class PVMC:
-    """Proportional voltage-mode control, y = k_p (v_r - v_o)."""
-
-    k_p: float
-
-    def __post_init__(self):
-        _positive("k_p", self.k_p)
-
-
-@dataclass(frozen=True)
-class CFPVR:
-    """Constant-frequency peak voltage regulator (V^2); same critical
-    condition as PVMC."""
-
-    k_p: float
-
-    def __post_init__(self):
-        _positive("k_p", self.k_p)
-
-
-@dataclass(frozen=True)
-class ACMC:
-    """Average current-mode control with a type-II current compensator."""
-
-    R_s: float
-    K_c: float
-    z_c: float
-    omega_p: float
-
-    def __post_init__(self):
-        _positive("R_s", self.R_s)
-        _positive("K_c", self.K_c)
-        _positive("z_c", self.z_c)
-        _positive("omega_p", self.omega_p)
-
-
-@dataclass(frozen=True)
-class VMC3:
-    """Voltage-mode control with a type-III three-pole-two-zero compensator."""
-
-    K_c: float
-    kappa_z: float
-    omega_p: float
-
-    def __post_init__(self):
-        _positive("K_c", self.K_c)
-        _positive("omega_p", self.omega_p)
-        if not 0.0 < self.kappa_z <= 2.0:
-            raise DomainError("kappa_z must lie in (0, 2]")
-
-
-@dataclass(frozen=True)
-class RLP:
-    """Proportional feedback around a first-order RL plant."""
-
-    k_p: float
-
-    def __post_init__(self):
-        _positive("k_p", self.k_p)
-
-
-ControlScheme = Union[CMC, PVMC, CFPVR, ACMC, VMC3, RLP]
+def _check_zc(params: BuckParams, scheme: "ACMC") -> None:
+    if scheme.z_c >= params.omega_s / 2.0:
+        warnings.warn(
+            "compensator zero z_c is not small against the switching "
+            "frequency; the high-frequency approximation degrades",
+            stacklevel=3,
+        )
 
 
 @dataclass(frozen=True)
@@ -215,19 +164,309 @@ class CriticalResult:
         return self.lvalue < 1.0
 
 
-def _check_zc(params: BuckParams, scheme: ACMC) -> None:
-    if scheme.z_c >= params.omega_s / 2.0:
-        warnings.warn(
-            "compensator zero z_c is not small against the switching "
-            "frequency; the high-frequency approximation degrades",
-            stacklevel=3,
+@dataclass(frozen=True)
+class Wiring:
+    """How a scheme closes the loop around its power stage.
+
+    The modulator input is y = C(s) [v_r - (i_gain i_L + v_gain v_o)] with
+    C(s) = gain prod(1 + s/z) / (s^integrators prod(1 + s/p)); the power
+    stage is the LC filter, or the single-state RL plant when rl_plant.
+    """
+
+    i_gain: float
+    v_gain: float
+    gain: float
+    zeros: Tuple[float, ...] = ()
+    poles: Tuple[float, ...] = ()
+    integrators: int = 0
+    rl_plant: bool = False
+
+
+# ---------------------------------------------------------------------------
+# Control schemes.
+
+
+class ControlScheme:
+    """Base of the control schemes; each scheme is one frozen dataclass.
+
+    The dataclass fields are the scheme's config keys, each a positive
+    number.  A scheme provides:
+
+    - ``loop_gain_hf(params)``: its high-frequency loop gain T(s)
+    - ``nominal_duty(params)``: the steady-state duty its references imply
+    - ``lvalue(params, D)``: the closed-form L at duty D (schemes with a
+      compensator pole omega_p also take the pole ratio p)
+    - ``critical(params, solve_for, D)``: the critical v_s, k_p, m_a or D
+      at a pinned duty D
+    - ``wiring(params)``: the closed loop the simulator assembles
+
+    ``duty_depends_on`` names the solve variables the nominal duty moves
+    with; ``solve_critical`` finds those by a coupled root search unless
+    the duty is pinned.
+    """
+
+    duty_depends_on: Tuple[str, ...] = ("v_s",)
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value > 0.0:
+                raise DomainError(f"{name} must be positive")
+
+    def critical(self, params: BuckParams, solve_for: str, D: float) -> float:
+        if solve_for == "D":
+            curve = lplot(params, self, "D", np.linspace(1e-3, 1.0 - 1e-3, 512))
+            if not curve.crossings:
+                raise NoRoot("L never crosses 1 over the duty range")
+            return curve.crossings[0]
+        raise DomainError(f"{type(self).__name__} has no {solve_for} to solve for")
+
+
+@dataclass(frozen=True)
+class CMC(ControlScheme):
+    """Peak current-mode control: y = i_c - i_L with unit current gain."""
+
+    def loop_gain_hf(self, params):
+        V_m = _require_vm(params)
+        return RationalTF(params.v_s / (params.L * V_m), integrators=1)
+
+    def nominal_duty(self, params):
+        # v_r doubles as the current command i_c
+        return params.v_r * params.R / params.v_s
+
+    def lvalue(self, params, D):
+        # with zero ramp amplitude the boundary D = 1/2 is reported through
+        # the renormalized L = 2D, which crosses 1 exactly where the
+        # ramp-slope condition becomes violated
+        if params.V_m == 0.0:
+            return 2.0 * D
+        return critical_cmc(params, D) * params.T / params.V_m
+
+    def critical(self, params, solve_for, D):
+        if solve_for == "m_a":
+            return critical_cmc(params, D)
+        if solve_for == "v_s":
+            if D <= 0.5:
+                raise DomainError("for D <= 1/2 the CMC loop is stable at any v_s")
+            if params.V_m == 0.0:
+                raise DomainError("no finite critical v_s with a zero ramp")
+            return params.ramp_slope * params.L / (D - 0.5)
+        if solve_for == "D":
+            # exact rearrangement: D = 1/2 + m_a L / v_s
+            D_crit = 0.5 + params.ramp_slope * params.L / params.v_s
+            if D_crit > 1.0:
+                raise DomainError("ramp strong enough that no critical D exists")
+            return D_crit
+        return super().critical(params, solve_for, D)
+
+    def wiring(self, params):
+        return Wiring(i_gain=1.0, v_gain=0.0, gain=1.0)
+
+
+@dataclass(frozen=True)
+class PVMC(ControlScheme):
+    """Proportional voltage-mode control, y = k_p (v_r - v_o)."""
+
+    k_p: float
+
+    def loop_gain_hf(self, params):
+        V_m = _require_vm(params)
+        C = params.require_C()
+        if params.R_c > 0.0:
+            scale = params.v_s * self.k_p * params.rho / (V_m * params.L * C)
+            return RationalTF(scale, zeros=[1.0 / (params.R_c * C)], integrators=2)
+        # with no ESR zero the load pole at 1/RC is the next relevant feature
+        scale = params.v_s * self.k_p * params.R / (V_m * params.L)
+        return RationalTF(scale, poles=[1.0 / (params.R * C)], integrators=1)
+
+    def nominal_duty(self, params):
+        return params.v_r / params.v_s
+
+    def lvalue(self, params, D):
+        """L = (v_s k_p rho T^2 / 4 V_m L C) [(2 R_c C/T)(2D-1) + (2D^2-2D+1)]."""
+        C = params.require_C()
+        V_m = _require_vm(params)
+        lead = (params.v_s * self.k_p * params.rho * params.T**2
+                / (4.0 * V_m * params.L * C))
+        bracket = (2.0 * params.R_c * C / params.T) * (2.0 * D - 1.0) + (
+            2.0 * D * D - 2.0 * D + 1.0
         )
+        return lead * bracket
+
+    def critical(self, params, solve_for, D):
+        if solve_for == "m_a":
+            return v2_min_ramp(params, self.k_p, D)
+        if solve_for in ("v_s", "k_p"):
+            lv = self.lvalue(params, D)
+            if lv <= 0.0:
+                raise DomainError("L is not positive; no finite critical value")
+            # L is proportional to either
+            return (params.v_s if solve_for == "v_s" else self.k_p) / lv
+        return super().critical(params, solve_for, D)
+
+    def wiring(self, params):
+        return Wiring(i_gain=0.0, v_gain=1.0, gain=self.k_p)
 
 
-def _require_vm(params: BuckParams) -> float:
-    if params.V_m <= 0.0:
-        raise DomainError("zero ramp amplitude: V_m must be positive here")
-    return params.V_m
+@dataclass(frozen=True)
+class CFPVR(PVMC):
+    """Constant-frequency peak voltage regulator (V^2): the divided output
+    k_p v_o is regulated to v_r, y = v_r - k_p v_o; same critical
+    condition as PVMC."""
+
+    duty_depends_on = ("v_s", "k_p")
+
+    def nominal_duty(self, params):
+        return params.v_r / (self.k_p * params.v_s)
+
+    def wiring(self, params):
+        return Wiring(i_gain=0.0, v_gain=self.k_p, gain=1.0)
+
+
+@dataclass(frozen=True)
+class RLP(ControlScheme):
+    """Proportional feedback around a first-order RL plant."""
+
+    k_p: float
+    # the critical gain carries its own duty (see rlp_critical_kp), so no
+    # solve depends on the present one
+    duty_depends_on = ()
+
+    def loop_gain_hf(self, params):
+        V_m = _require_vm(params)
+        return RationalTF(params.v_s * self.k_p / V_m, poles=[params.R / params.L])
+
+    def nominal_duty(self, params):
+        # no integrator: the exact modulator equation sets the duty
+        return rlp_steady_duty(params, self.k_p)
+
+    def lvalue(self, params, D):
+        """L = v_s k_p p alpha(D, p) / V_m with p = R / (L omega_s)."""
+        V_m = _require_vm(params)
+        p = params.R / (params.L * params.omega_s)
+        return params.v_s * self.k_p * p * alpha(float(D), p) / V_m
+
+    def critical(self, params, solve_for, D):
+        if solve_for == "k_p":
+            return rlp_critical_kp(params)[0]
+        if solve_for != "D":
+            raise DomainError("the RL loop solves for k_p only")
+        return super().critical(params, solve_for, D)
+
+    def wiring(self, params):
+        return Wiring(i_gain=0.0, v_gain=1.0, gain=self.k_p, rl_plant=True)
+
+
+class _PoleLoop(ControlScheme):
+    """Compensator with an integrator and a pole omega_p.
+
+    L = K (alpha0(D) - alpha(D, p)) with p = omega_p / omega_s and the
+    combined dimensionless gain K = ``gain(params)``; ``critical_vs``
+    turns a positive kernel gap into the critical source voltage.
+    """
+
+    def gap(self, params, D, p=None):
+        if p is None:
+            p = self.omega_p / params.omega_s
+        return alpha0(D) - alpha(D, p)
+
+    def lvalue(self, params, D, p=None):
+        return self.gain(params) * self.gap(params, D, p)
+
+    def critical(self, params, solve_for, D):
+        if solve_for == "v_s":
+            gap = self.gap(params, D)
+            if gap <= 0.0:
+                raise DomainError(
+                    "alpha0 - alpha is not positive here; no finite critical v_s"
+                )
+            return self.critical_vs(params, gap)
+        if solve_for == "m_a":
+            lv = self.lvalue(params, D)
+            if lv <= 0.0:
+                raise DomainError("L is not positive; no ramp boundary here")
+            return params.V_m * lv * params.f_s
+        return super().critical(params, solve_for, D)
+
+
+@dataclass(frozen=True)
+class ACMC(_PoleLoop):
+    """Average current-mode control with a type-II current compensator."""
+
+    R_s: float
+    K_c: float
+    z_c: float
+    omega_p: float
+
+    def loop_gain_hf(self, params):
+        V_m = _require_vm(params)
+        _check_zc(params, self)
+        scale = params.v_s * self.R_s * self.K_c / (V_m * self.z_c * params.L)
+        return RationalTF(scale, poles=[self.omega_p], integrators=1)
+
+    def gain(self, params):
+        """K = v_s R_s K_c / (V_m z_c L omega_s)."""
+        V_m = _require_vm(params)
+        return (params.v_s * self.R_s * self.K_c
+                / (V_m * self.z_c * params.L * params.omega_s))
+
+    def critical_vs(self, params, gap):
+        _check_zc(params, self)
+        return (_require_vm(params) * self.z_c * params.L * params.omega_s
+                / (self.R_s * self.K_c * gap))
+
+    def nominal_duty(self, params):
+        return params.v_r * params.R / (self.R_s * params.v_s)
+
+    def wiring(self, params):
+        return Wiring(i_gain=self.R_s, v_gain=0.0, gain=self.K_c,
+                      zeros=(self.z_c,), poles=(self.omega_p,), integrators=1)
+
+
+@dataclass(frozen=True)
+class VMC3(_PoleLoop):
+    """Voltage-mode control with a type-III three-pole-two-zero compensator."""
+
+    K_c: float
+    kappa_z: float
+    omega_p: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kappa_z > 2.0:
+            raise DomainError("kappa_z must lie in (0, 2]")
+
+    def loop_gain_hf(self, params):
+        V_m = _require_vm(params)
+        scale = params.v_s * self.K_c * params.rho / (V_m * self.kappa_z)
+        return RationalTF(scale, poles=[self.omega_p], integrators=1)
+
+    def gain(self, params):
+        """K = v_s K_c rho / (V_m kappa_z omega_s)."""
+        V_m = _require_vm(params)
+        return (params.v_s * self.K_c * params.rho
+                / (V_m * self.kappa_z * params.omega_s))
+
+    def critical_vs(self, params, gap):
+        V_m = _require_vm(params)
+        return V_m * self.kappa_z * params.omega_s / (self.K_c * params.rho * gap)
+
+    def nominal_duty(self, params):
+        return params.v_r / params.v_s
+
+    def wiring(self, params):
+        C = params.require_C()
+        sqlc = math.sqrt(params.L * C)
+        poles = (self.omega_p,)
+        if params.R_c > 0.0:
+            poles += (1.0 / (params.R_c * C),)
+        return Wiring(i_gain=0.0, v_gain=1.0, gain=self.K_c,
+                      zeros=(self.kappa_z / sqlc, 1.0 / sqlc), poles=poles,
+                      integrators=1)
+
+
+# config names of the schemes
+SCHEMES = {"cmc": CMC, "pvmc": PVMC, "cfpvr": CFPVR, "rlp": RLP,
+           "acmc": ACMC, "vmc3": VMC3}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +491,7 @@ def power_stage_il(params: BuckParams) -> RationalTF:
 
 
 # ---------------------------------------------------------------------------
-# High-frequency loop gains.
+# The scheme-generic front ends.
 
 
 def loop_gain_hf(params: BuckParams, scheme: ControlScheme) -> RationalTF:
@@ -261,33 +500,44 @@ def loop_gain_hf(params: BuckParams, scheme: ControlScheme) -> RationalTF:
     These are the shapes whose F-transforms reproduce the closed-form
     critical conditions; ``closed_form_lvalue`` is their exact partner.
     """
-    V_m = _require_vm(params)
-    if isinstance(scheme, CMC):
-        return RationalTF(params.v_s / (params.L * V_m), integrators=1)
-    if isinstance(scheme, (PVMC, CFPVR)):
-        C = params.require_C()
-        if params.R_c > 0.0:
-            scale = params.v_s * scheme.k_p * params.rho / (V_m * params.L * C)
-            return RationalTF(scale, zeros=[1.0 / (params.R_c * C)], integrators=2)
-        # with no ESR zero the load pole at 1/RC is the next relevant feature
-        scale = params.v_s * scheme.k_p * params.R / (V_m * params.L)
-        return RationalTF(scale, poles=[1.0 / (params.R * C)], integrators=1)
-    if isinstance(scheme, RLP):
-        return RationalTF(
-            params.v_s * scheme.k_p / V_m, poles=[params.R / params.L]
-        )
-    if isinstance(scheme, ACMC):
-        _check_zc(params, scheme)
-        scale = params.v_s * scheme.R_s * scheme.K_c / (V_m * scheme.z_c * params.L)
-        return RationalTF(scale, poles=[scheme.omega_p], integrators=1)
-    if isinstance(scheme, VMC3):
-        scale = params.v_s * scheme.K_c * params.rho / (V_m * scheme.kappa_z)
-        return RationalTF(scale, poles=[scheme.omega_p], integrators=1)
-    raise MissingParameter(f"unknown scheme {scheme!r}")
+    return scheme.loop_gain_hf(params)
+
+
+def duty_ratio(params: BuckParams, scheme: ControlScheme) -> float:
+    """Nominal steady-state duty cycle implied by the references.
+
+    Uses the ideal DC relation v_o = D v_s with the scheme's regulation
+    target (v_o -> v_r for voltage loops, i_L -> reference for current
+    loops); the RL loop, having no integrator, solves its exact modulator
+    equation instead.
+    """
+    D = scheme.nominal_duty(params)
+    if not 0.0 < D < 1.0:
+        raise DomainError(f"operating duty {D:.4g} falls outside (0, 1)")
+    return float(D)
+
+
+def closed_form_lvalue(
+    params: BuckParams,
+    scheme: ControlScheme,
+    D,
+    p_override: Optional[float] = None,
+) -> float:
+    """Scheme's stability number L at duty D.
+
+    p_override replaces the normalized compensator pole; a scheme without
+    one (no omega_p) raises DomainError.
+    """
+    D = float(D)
+    if p_override is None:
+        return scheme.lvalue(params, D)
+    if not hasattr(scheme, "omega_p"):
+        raise DomainError(f"{type(scheme).__name__} has no compensator pole p")
+    return scheme.lvalue(params, D, p_override)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form critical conditions, scheme by scheme.
+# Closed-form critical conditions kept as plain functions.
 
 
 def critical_cmc(params: BuckParams, D) -> float:
@@ -304,35 +554,15 @@ def critical_cmc(params: BuckParams, D) -> float:
 
 
 def critical_pvmc(params: BuckParams, k_p: float, D) -> CriticalResult:
-    """PVMC/V^2 stability number with ESR included.
-
-    L = (v_s k_p rho T^2 / 4 V_m L C) [ (2 R_c C / T)(2D-1) + (2D^2-2D+1) ].
-    """
-    C = params.require_C()
-    V_m = _require_vm(params)
-    D = float(D)
-    lead = params.v_s * k_p * params.rho * params.T**2 / (4.0 * V_m * params.L * C)
-    bracket = (2.0 * params.R_c * C / params.T) * (2.0 * D - 1.0) + (
-        2.0 * D * D - 2.0 * D + 1.0
-    )
-    return CriticalResult(lvalue=lead * bracket)
+    """PVMC/V^2 stability number with ESR included (see ``PVMC.lvalue``)."""
+    return CriticalResult(lvalue=PVMC(k_p=k_p).lvalue(params, float(D)))
 
 
 def critical_pvmc_noesr(params: BuckParams, k_p: float, D) -> CriticalResult:
     """Zero-ESR special case, L = (v_s k_p T^2 / 4 V_m L C)(2D^2 - 2D + 1)."""
     if params.R_c != 0.0:
         raise DomainError("this form requires R_c = 0")
-    C = params.require_C()
-    V_m = _require_vm(params)
-    D = float(D)
-    lval = (
-        params.v_s
-        * k_p
-        * params.T**2
-        / (4.0 * V_m * params.L * C)
-        * (2.0 * D * D - 2.0 * D + 1.0)
-    )
-    return CriticalResult(lvalue=lval)
+    return critical_pvmc(params, k_p, D)
 
 
 def v2_min_ramp(params: BuckParams, k_p: float, D: float) -> float:
@@ -384,13 +614,10 @@ def v2_no_ramp_feasible(params: BuckParams, D: float) -> bool:
 
 
 def v2_no_ramp_feasible_alt(params: BuckParams, D: float) -> bool:
-    """Equivalent form of the no-ramp test, T/(R_c C) < 1/(1/2 + D^2/(1-2D))."""
-    C = params.require_C()
-    D = float(D)
-    if params.R_c == 0.0 or D == 0.5:
-        return False
-    denom = 0.5 + D * D / (1.0 - 2.0 * D)
-    return params.T / (params.R_c * C) < 1.0 / denom
+    """The no-ramp test in its other arrangement,
+    T/(R_c C) < 1/(1/2 + D^2/(1-2D)); the same test as
+    ``v2_no_ramp_feasible``."""
+    return v2_no_ramp_feasible(params, D)
 
 
 def critical_pvmc_smallR(params: BuckParams, k_p: float, D) -> float:
@@ -449,11 +676,10 @@ def critical_rlp(params: BuckParams, k_p: float, D=None) -> CriticalResult:
 
     D defaults to the steady-state duty at this gain.
     """
-    V_m = _require_vm(params)
+    scheme = RLP(k_p=k_p)
     if D is None:
-        D = rlp_steady_duty(params, k_p)
-    p = params.R / (params.L * params.omega_s)
-    return CriticalResult(lvalue=params.v_s * k_p * p * alpha(float(D), p) / V_m)
+        D = scheme.nominal_duty(params)
+    return CriticalResult(lvalue=scheme.lvalue(params, D))
 
 
 def rlp_critical_kp(
@@ -505,13 +731,7 @@ def rlp_critical_kp(
 
 def acmc_gain(params: BuckParams, scheme: ACMC) -> float:
     """Combined dimensionless gain K = v_s R_s K_c / (V_m z_c L omega_s)."""
-    V_m = _require_vm(params)
-    return (
-        params.v_s
-        * scheme.R_s
-        * scheme.K_c
-        / (V_m * scheme.z_c * params.L * params.omega_s)
-    )
+    return scheme.gain(params)
 
 
 def critical_acmc(params: BuckParams, scheme: ACMC, D) -> CriticalResult:
@@ -520,21 +740,9 @@ def critical_acmc(params: BuckParams, scheme: ACMC, D) -> CriticalResult:
     critical_value carries the critical source voltage when the kernel gap
     is positive (otherwise no finite positive v_s exists and it is None).
     """
-    _check_zc(params, scheme)
-    D = float(D)
-    p = scheme.omega_p / params.omega_s
-    gap = alpha0(D) - alpha(D, p)
-    K = acmc_gain(params, scheme)
-    crit_vs = None
-    if gap > 0.0:
-        crit_vs = (
-            _require_vm(params)
-            * scheme.z_c
-            * params.L
-            * params.omega_s
-            / (scheme.R_s * scheme.K_c * gap)
-        )
-    return CriticalResult(lvalue=K * gap, critical_value=crit_vs)
+    gap = scheme.gap(params, float(D))
+    crit_vs = scheme.critical_vs(params, gap) if gap > 0.0 else None
+    return CriticalResult(lvalue=scheme.gain(params) * gap, critical_value=crit_vs)
 
 
 def acmc_min_ramp(params: BuckParams, scheme: ACMC, D) -> float:
@@ -583,13 +791,7 @@ def acmc_window_estimate(K: float, D) -> Tuple[float, float]:
 
 def vmc3_gain(params: BuckParams, scheme: VMC3) -> float:
     """Combined dimensionless gain K = v_s K_c rho / (V_m kappa_z omega_s)."""
-    V_m = _require_vm(params)
-    return (
-        params.v_s
-        * scheme.K_c
-        * params.rho
-        / (V_m * scheme.kappa_z * params.omega_s)
-    )
+    return scheme.gain(params)
 
 
 def critical_vmc3(params: BuckParams, scheme: VMC3, D) -> CriticalResult:
@@ -599,83 +801,8 @@ def critical_vmc3(params: BuckParams, scheme: VMC3, D) -> CriticalResult:
     p = omega_p / omega_s; lvalue is K (alpha0 - alpha) at the present v_s.
     """
     D = float(D)
-    p = scheme.omega_p / params.omega_s
-    gap = alpha0(D) - alpha(D, p)
-    if gap <= 0.0:
-        raise DomainError(
-            "alpha0 - alpha is not positive here; no finite critical v_s"
-        )
-    V_m = _require_vm(params)
-    crit_vs = (
-        V_m * scheme.kappa_z * params.omega_s / (scheme.K_c * params.rho * gap)
-    )
-    return CriticalResult(lvalue=vmc3_gain(params, scheme) * gap, critical_value=crit_vs)
-
-
-# ---------------------------------------------------------------------------
-# Steady-state duty and the unified stability number.
-
-
-def duty_ratio(params: BuckParams, scheme: ControlScheme) -> float:
-    """Nominal steady-state duty cycle implied by the references.
-
-    Uses the ideal DC relation v_o = D v_s with the scheme's regulation
-    target (v_o -> v_r for voltage loops, i_L -> reference for current
-    loops); the RL loop, having no integrator, solves its exact modulator
-    equation instead.
-    """
-    if isinstance(scheme, (PVMC, VMC3)):
-        D = params.v_r / params.v_s
-    elif isinstance(scheme, CFPVR):
-        # the divider k_p v_o is regulated to v_r
-        D = params.v_r / (scheme.k_p * params.v_s)
-    elif isinstance(scheme, ACMC):
-        D = params.v_r * params.R / (scheme.R_s * params.v_s)
-    elif isinstance(scheme, CMC):
-        # v_r doubles as the current command i_c
-        D = params.v_r * params.R / params.v_s
-    elif isinstance(scheme, RLP):
-        D = rlp_steady_duty(params, scheme.k_p)
-    else:
-        raise MissingParameter(f"unknown scheme {scheme!r}")
-    if not 0.0 < D < 1.0:
-        raise DomainError(f"operating duty {D:.4g} falls outside (0, 1)")
-    return float(D)
-
-
-def closed_form_lvalue(
-    params: BuckParams,
-    scheme: ControlScheme,
-    D,
-    p_override: Optional[float] = None,
-) -> float:
-    """Scheme's stability number L at duty D.
-
-    p_override replaces the normalized compensator pole for ACMC/VMC3
-    sweeps.  For CMC with zero ramp amplitude the boundary D = 1/2 is
-    reported through the renormalized number L = 2D, which crosses 1
-    exactly where the ramp-slope condition becomes violated.
-    """
-    D = float(D)
-    if isinstance(scheme, CMC):
-        if params.V_m == 0.0:
-            return 2.0 * D
-        return critical_cmc(params, D) * params.T / params.V_m
-    if isinstance(scheme, (PVMC, CFPVR)):
-        if p_override is not None:
-            raise DomainError("p sweeps apply only to ACMC/VMC3 loops")
-        return critical_pvmc(params, scheme.k_p, D).lvalue
-    if isinstance(scheme, RLP):
-        if p_override is not None:
-            raise DomainError("p sweeps apply only to ACMC/VMC3 loops")
-        return critical_rlp(params, scheme.k_p, D).lvalue
-    if isinstance(scheme, ACMC):
-        p = scheme.omega_p / params.omega_s if p_override is None else p_override
-        return acmc_gain(params, scheme) * (alpha0(D) - alpha(D, p))
-    if isinstance(scheme, VMC3):
-        p = scheme.omega_p / params.omega_s if p_override is None else p_override
-        return vmc3_gain(params, scheme) * (alpha0(D) - alpha(D, p))
-    raise MissingParameter(f"unknown scheme {scheme!r}")
+    crit_vs = scheme.critical(params, "v_s", D)
+    return CriticalResult(lvalue=scheme.lvalue(params, D), critical_value=crit_vs)
 
 
 # ---------------------------------------------------------------------------
@@ -692,27 +819,73 @@ class LPlotCurve:
     crossings: Tuple[float, ...]
 
 
-_SWEEPABLE = ("D", "p", "v_s", "k_p")
+# every variable a sweep can run over: the duty, the compensator-pole
+# ratio p = omega_p / omega_s, and fields of BuckParams or of the scheme
+SWEEP_VARIABLES = ("D", "p", "v_s", "k_p", "omega_p", "K_c", "v_r")
 
 
-def _lvalue_at(params, scheme, variable, x, duty):
+def sweep_point(params: BuckParams, scheme: ControlScheme, variable: str):
+    """The operating point along one swept variable, as a function of it.
+
+    Raises DomainError at once when the variable is unknown or the scheme
+    has no such field.  The returned function maps a value x to
+    (params, scheme, D, p): D is x for a duty sweep and None otherwise
+    (the point keeps its own duty); p is x for a pole-ratio sweep and None
+    otherwise.  p is handed on exactly as given because x * omega_s /
+    omega_s does not always round back to x.
+    """
+    if variable not in SWEEP_VARIABLES:
+        raise DomainError(f"sweep variable must be one of {SWEEP_VARIABLES}")
     if variable == "D":
-        return closed_form_lvalue(params, scheme, x)
+        return lambda x: (params, scheme, float(x), None)
+    if variable in ("v_s", "v_r"):
+        return lambda x: (replace(params, **{variable: x}), scheme, None, None)
+    name = "omega_p" if variable == "p" else variable
+    if not hasattr(scheme, name):
+        raise DomainError(f"{type(scheme).__name__} has no {name} to sweep")
     if variable == "p":
-        if duty is None:
-            duty = duty_ratio(params, scheme)
-        return closed_form_lvalue(params, scheme, duty, p_override=x)
-    if variable == "v_s":
-        pr = replace(params, v_s=x)
-        d = duty if duty is not None else duty_ratio(pr, scheme)
-        return closed_form_lvalue(pr, scheme, d)
-    if variable == "k_p":
-        if not isinstance(scheme, (PVMC, CFPVR, RLP)):
-            raise DomainError("k_p sweeps need a proportional-gain scheme")
-        sch = replace(scheme, k_p=x)
-        d = duty if duty is not None else duty_ratio(params, sch)
-        return closed_form_lvalue(params, sch, d)
-    raise DomainError(f"sweep variable must be one of {_SWEEPABLE}")
+        return lambda x: (
+            params, replace(scheme, omega_p=x * params.omega_s), None, x
+        )
+    return lambda x: (params, replace(scheme, **{name: x}), None, None)
+
+
+def _grid(values) -> np.ndarray:
+    g = np.asarray(values, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise DomainError("sweep grid must be a non-empty 1-D sequence")
+    steps = np.diff(g)
+    if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+        raise DomainError("sweep grid must be strictly monotone")
+    return g
+
+
+def grid_crossings(grid, lvalues, refine=None) -> list:
+    """Every L = 1 crossing along a grid, in grid order.
+
+    A grid point where L is exactly 1 counts as a crossing; a sign change
+    of L - 1 between neighbours is refined by refine(lo, hi) when given
+    and interpolated linearly otherwise.  Pairs with a non-finite value
+    are skipped.
+    """
+    resid = np.asarray(lvalues, dtype=float) - 1.0
+    out = []
+    for i in range(len(grid) - 1):
+        a, b = resid[i], resid[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            continue
+        if a == 0.0:
+            out.append(float(grid[i]))
+        elif a * b < 0.0:
+            if refine is None:
+                t = a / (a - b)
+                out.append(float(grid[i] + t * (grid[i + 1] - grid[i])))
+            else:
+                lo, hi = sorted((grid[i], grid[i + 1]))
+                out.append(float(refine(lo, hi)))
+    if len(grid) and np.isfinite(resid[-1]) and resid[-1] == 0.0:
+        out.append(float(grid[-1]))
+    return out
 
 
 def lplot(
@@ -729,33 +902,19 @@ def lplot(
     form to a relative tolerance of 1e-9.  ``duty`` pins the duty cycle
     for sweeps that would otherwise re-derive it per point.
     """
-    if variable not in _SWEEPABLE:
-        raise DomainError(f"sweep variable must be one of {_SWEEPABLE}")
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise DomainError("sweep grid must be a non-empty 1-D sequence")
-    if g.size > 1:
-        steps = np.diff(g)
-        if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-            raise DomainError("sweep grid must be strictly monotone")
+    at = sweep_point(params, scheme, variable)
+    g = _grid(grid)
 
-    lv = np.array([_lvalue_at(params, scheme, variable, x, duty) for x in g])
+    def lvalue(x):
+        pr, sch, D, p = at(x)
+        if D is None:
+            D = duty if duty is not None else duty_ratio(pr, sch)
+        return closed_form_lvalue(pr, sch, D, p)
 
-    crossings = []
-    f = lambda x: _lvalue_at(params, scheme, variable, x, duty) - 1.0
-    resid = lv - 1.0
-    for i in range(g.size - 1):
-        a, b = resid[i], resid[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            crossings.append(float(g[i]))
-            continue
-        if a * b < 0.0:
-            lo, hi = sorted((g[i], g[i + 1]))
-            crossings.append(float(bisect(f, lo, hi, rtol=1e-9)))
-    if g.size > 1 and np.isfinite(resid[-1]) and resid[-1] == 0.0:
-        crossings.append(float(g[-1]))
+    lv = np.array([lvalue(x) for x in g])
+    crossings = grid_crossings(
+        g, lv, lambda lo, hi: bisect(lambda x: lvalue(x) - 1.0, lo, hi, rtol=1e-9)
+    )
     return LPlotCurve(variable, g, lv, tuple(sorted(crossings)))
 
 
@@ -764,15 +923,7 @@ def contour_data(D_grid: Sequence[float], p_grid: Sequence[float]) -> np.ndarray
 
     The supremum of the surface over the whole domain is pi.
     """
-    D = np.asarray(D_grid, dtype=float)
-    p = np.asarray(p_grid, dtype=float)
-    if D.ndim != 1 or p.ndim != 1 or D.size == 0 or p.size == 0:
-        raise DomainError("grids must be non-empty 1-D sequences")
-    for grid in (D, p):
-        if grid.size > 1:
-            steps = np.diff(grid)
-            if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-                raise DomainError("grids must be strictly monotone")
+    D, p = _grid(D_grid), _grid(p_grid)
     return alpha0(D)[:, None] - alpha(D[:, None], p[None, :])
 
 
@@ -780,27 +931,32 @@ def contour_data(D_grid: Sequence[float], p_grid: Sequence[float]) -> np.ndarray
 # Solving the critical condition for one chosen parameter.
 
 
-def _solve_vs_coupled(params, scheme, duty):
-    """Critical v_s when the duty itself depends on v_s (no override given)."""
+def _solve_coupled(params, scheme, variable):
+    """Critical value of a variable the nominal duty moves with.
 
-    def g(v):
-        pr = replace(params, v_s=v)
-        return closed_form_lvalue(pr, scheme, duty_ratio(pr, scheme)) - 1.0
+    The root of L(x, duty_ratio(x)) = 1: the first sign change on a log
+    grid from 1e-3 to 1e4 times the present value, refined by brentq;
+    points whose duty leaves (0, 1) are skipped.
+    """
+    at = sweep_point(params, scheme, variable)
+    x0 = getattr(params if hasattr(params, variable) else scheme, variable)
 
-    # the duty must stay inside (0, 1): scan a log grid above the reference
-    lo = params.v_r * 1.01 if isinstance(scheme, (PVMC, VMC3)) else params.v_s * 1e-3
-    vs_grid = np.geomspace(max(lo, 1e-6), params.v_s * 1e4, 240)
-    prev = None
-    for v in vs_grid:
+    def lvalue(x):
+        pr, sch, _, _ = at(x)
+        return closed_form_lvalue(pr, sch, duty_ratio(pr, sch))
+
+    grid = np.geomspace(1e-3 * x0, 1e4 * x0, 240)
+    lv = np.full(grid.size, np.nan)
+    for i, x in enumerate(grid):
         try:
-            val = g(v)
+            lv[i] = lvalue(x)
         except DomainError:
-            prev = None
-            continue
-        if prev is not None and (val == 0.0 or np.sign(val) != np.sign(prev[1])):
-            return brentq(g, prev[0], v, xtol=1e-14 * params.v_s, rtol=8.9e-16)
-        prev = (v, val)
-    raise NoRoot("no critical v_s found on the search range")
+            pass
+    roots = grid_crossings(grid, lv, lambda lo, hi: brentq(
+        lambda x: lvalue(x) - 1.0, lo, hi, xtol=1e-14 * x0, rtol=8.9e-16))
+    if not roots:
+        raise NoRoot(f"no critical {variable} found on the search range")
+    return roots[0]
 
 
 def solve_critical(
@@ -811,88 +967,19 @@ def solve_critical(
 ) -> CriticalResult:
     """Solve L = 1 for one parameter (v_s, k_p, m_a, or D).
 
-    Returns the present L together with the critical parameter value.
-    DomainError marks parameter/scheme pairs without a closed-form route;
-    NoRoot means the search range contains no boundary.
+    Returns L at the present operating duty together with the critical
+    parameter value.  With the duty pinned, or for a variable the nominal
+    duty does not depend on, the scheme's closed form at that duty gives
+    the value; otherwise the duty is re-derived along the variable.
+    DomainError marks parameter/scheme pairs without a route; NoRoot means
+    the search range contains no boundary.
     """
     if solve_for not in ("v_s", "k_p", "m_a", "D"):
         raise DomainError("solve-for must be one of v_s, k_p, m_a, D")
-
-    def current_duty():
-        return duty if duty is not None else duty_ratio(params, scheme)
-
-    if solve_for == "D":
-        if isinstance(scheme, CMC):
-            # exact rearrangement: D = 1/2 + m_a L / v_s
-            D_crit = 0.5 + params.ramp_slope * params.L / params.v_s
-            if D_crit > 1.0:
-                raise DomainError("ramp strong enough that no critical D exists")
-            lv = closed_form_lvalue(params, scheme, D_crit)
-            return CriticalResult(lvalue=lv, critical_value=D_crit)
-        curve = lplot(params, scheme, "D", np.linspace(1e-3, 1.0 - 1e-3, 512), duty)
-        if not curve.crossings:
-            raise NoRoot("L never crosses 1 over the duty range")
-        return CriticalResult(
-            lvalue=closed_form_lvalue(params, scheme, current_duty()),
-            critical_value=curve.crossings[0],
-        )
-
-    if isinstance(scheme, CMC):
-        D = current_duty()
-        lv = closed_form_lvalue(params, scheme, D)
-        if solve_for == "m_a":
-            return CriticalResult(lvalue=lv, critical_value=critical_cmc(params, D))
-        if solve_for == "v_s":
-            if D <= 0.5:
-                raise DomainError("for D <= 1/2 the CMC loop is stable at any v_s")
-            if params.V_m == 0.0:
-                raise DomainError("no finite critical v_s with a zero ramp")
-            return CriticalResult(
-                lvalue=lv,
-                critical_value=params.ramp_slope * params.L / (D - 0.5),
-            )
-        raise DomainError("CMC has no gain k_p to solve for")
-
-    if isinstance(scheme, (PVMC, CFPVR)):
-        D = current_duty()
-        lv = closed_form_lvalue(params, scheme, D)
-        if solve_for == "m_a":
-            return CriticalResult(
-                lvalue=lv, critical_value=v2_min_ramp(params, scheme.k_p, D)
-            )
-        if lv <= 0.0:
-            raise DomainError("L is not positive; no finite critical value")
-        if solve_for == "v_s":
-            return CriticalResult(lvalue=lv, critical_value=params.v_s / lv)
-        return CriticalResult(lvalue=lv, critical_value=scheme.k_p / lv)
-
-    if isinstance(scheme, RLP):
-        if solve_for != "k_p":
-            raise DomainError("the RL loop solves for k_p only")
-        kp, _ = rlp_critical_kp(params)
-        return CriticalResult(
-            lvalue=critical_rlp(params, scheme.k_p).lvalue, critical_value=kp
-        )
-
-    # ACMC / VMC3
-    D_now = current_duty()
-    lv = closed_form_lvalue(params, scheme, D_now)
-    if solve_for == "m_a":
-        if lv <= 0.0:
-            raise DomainError("L is not positive; no ramp boundary here")
-        return CriticalResult(
-            lvalue=lv, critical_value=params.V_m * lv * params.f_s
-        )
-    if solve_for == "k_p":
-        raise DomainError("this scheme has no proportional gain k_p")
-    if duty is not None:
-        res = (
-            critical_acmc(params, scheme, duty)
-            if isinstance(scheme, ACMC)
-            else critical_vmc3(params, scheme, duty)
-        )
-        if res.critical_value is None:
-            raise DomainError("no finite critical v_s at this duty")
-        return res
-    vs = _solve_vs_coupled(params, scheme, duty)
-    return CriticalResult(lvalue=lv, critical_value=vs)
+    D = float(duty) if duty is not None else duty_ratio(params, scheme)
+    lv = closed_form_lvalue(params, scheme, D)
+    if duty is None and solve_for in scheme.duty_depends_on:
+        value = _solve_coupled(params, scheme, solve_for)
+    else:
+        value = scheme.critical(params, solve_for, D)
+    return CriticalResult(lvalue=lv, critical_value=value)

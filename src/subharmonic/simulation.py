@@ -23,22 +23,11 @@ from .errors import (
     DegenerateOrbit,
     Divergence,
     DomainError,
-    MissingParameter,
     NoConvergence,
     NumericalFailure,
     UnsupportedStructure,
 )
-from .schemes import (
-    ACMC,
-    CFPVR,
-    CMC,
-    PVMC,
-    RLP,
-    VMC3,
-    BuckParams,
-    ControlScheme,
-    duty_ratio,
-)
+from .schemes import BuckParams, ControlScheme, duty_ratio
 
 __all__ = [
     "ClosedLoop",
@@ -74,6 +63,8 @@ def _modal_parts(scale, zeros, poles, integrators):
         lead *= float(p)
     for z in zeros:
         lead /= float(z)
+    if not den_roots:
+        return [], [], lead  # a static gain has no modes
     span = max(1.0, max(abs(q) for q in den_roots))
     qs = sorted(den_roots)
     for a, b in zip(qs, qs[1:]):
@@ -124,68 +115,36 @@ def build_closed_loop(params: BuckParams, scheme: ControlScheme) -> ClosedLoop:
     """Assemble the per-stage affine systems and output maps for a scheme.
 
     Stage 1 drives the plant with v_d = v_s, stage 2 with v_d = 0; the
-    wiring of the compensator input and of y follows the scheme topology.
-    Compensators with internal dynamics are realized in modal (diagonal)
-    coordinates, one state per real pole.
+    compensator input and y follow the scheme's ``wiring``.  Compensators
+    with internal dynamics are realized in modal (diagonal) coordinates,
+    one state per real pole.
     """
-    if isinstance(scheme, RLP):
-        # single-state RL plant
-        A = np.array([[-params.R / params.L]])
-        b_on = np.array([params.v_s / params.L])
-        b_off = np.zeros(1)
-        vo_row = np.array([params.R])
-        y_row = -scheme.k_p * vo_row
-        y_const = scheme.k_p * params.v_r
-        return ClosedLoop(params, scheme, A, b_on, b_off, y_row, y_const,
-                          vo_row, ("i_L",))
-
-    C = params.require_C()
-    rho = params.rho
-    A_p = np.array(
-        [
-            [-rho * params.R_c / params.L, -rho / params.L],
-            [rho / C, -rho / (params.R * C)],
-        ]
-    )
-    b_on_p = np.array([params.v_s / params.L, 0.0])
-    vo_p = np.array([rho * params.R_c, rho])
-    labels = ["i_L", "v_C"]
-
-    if isinstance(scheme, CMC):
-        # v_r doubles as the current command, unit sense gain
-        A, b_on, b_off = A_p, b_on_p, np.zeros(2)
-        y_row = np.array([-1.0, 0.0])
-        y_const = params.v_r
-        return ClosedLoop(params, scheme, A, b_on, b_off, y_row, y_const,
-                          vo_p, tuple(labels))
-
-    if isinstance(scheme, (PVMC, CFPVR)):
-        A, b_on, b_off = A_p, b_on_p, np.zeros(2)
-        y_row = -scheme.k_p * vo_p
-        y_const = (scheme.k_p if isinstance(scheme, PVMC) else 1.0) * params.v_r
-        return ClosedLoop(params, scheme, A, b_on, b_off, y_row, y_const,
-                          vo_p, tuple(labels))
-
-    if isinstance(scheme, ACMC):
-        sense = np.array([scheme.R_s, 0.0])
-        qs, residues, dinf = _modal_parts(
-            scheme.K_c, [scheme.z_c], [scheme.omega_p], 1
-        )
-    elif isinstance(scheme, VMC3):
-        sense = vo_p
-        sqlc = math.sqrt(params.L * C)
-        zeros = [scheme.kappa_z / sqlc, 1.0 / sqlc]
-        poles = [scheme.omega_p]
-        if params.R_c > 0.0:
-            poles.append(1.0 / (params.R_c * C))
-        qs, residues, dinf = _modal_parts(scheme.K_c, zeros, poles, 1)
+    w = scheme.wiring(params)
+    if w.rl_plant:
+        A_p = np.array([[-params.R / params.L]])
+        vo_p = np.array([params.R])
+        labels = ["i_L"]
     else:
-        raise MissingParameter(f"unknown scheme {scheme!r}")
+        C = params.require_C()
+        rho = params.rho
+        A_p = np.array(
+            [
+                [-rho * params.R_c / params.L, -rho / params.L],
+                [rho / C, -rho / (params.R * C)],
+            ]
+        )
+        vo_p = np.array([rho * params.R_c, rho])
+        labels = ["i_L", "v_C"]
+    m = len(vo_p)
+    i_p = np.zeros(m)
+    i_p[0] = 1.0
+    sense = w.i_gain * i_p + w.v_gain * vo_p
+    qs, residues, dinf = _modal_parts(w.gain, w.zeros, w.poles, w.integrators)
 
     nc = len(qs)
-    n = 2 + nc
+    n = m + nc
     A = np.zeros((n, n))
-    A[:2, :2] = A_p
+    A[:m, :m] = A_p
     # balance the modal coordinates: split each residue evenly between
     # the input and output weights so no single matrix entry carries the
     # whole compensator gain and finite-difference perturbations of the
@@ -193,19 +152,19 @@ def build_closed_loop(params: BuckParams, scheme: ControlScheme) -> ClosedLoop:
     gains = [math.sqrt(abs(r)) for r in residues]
     signs = [math.copysign(1.0, r) for r in residues]
     for k, q in enumerate(qs):
-        A[2 + k, 2 + k] = q
-        A[2 + k, :2] = -gains[k] * sense
+        A[m + k, m + k] = q
+        A[m + k, :m] = -gains[k] * sense
     b_on = np.zeros(n)
-    b_on[:2] = b_on_p
-    b_on[2:] = np.asarray(gains) * params.v_r
+    b_on[0] = params.v_s / params.L
+    b_on[m:] = np.asarray(gains) * params.v_r
     b_off = b_on.copy()
     b_off[0] = 0.0
     y_row = np.zeros(n)
-    y_row[2:] = np.asarray(signs) * np.asarray(gains)
-    y_row[:2] = -dinf * sense
+    y_row[m:] = np.asarray(signs) * np.asarray(gains)
+    y_row[:m] = -dinf * sense
     y_const = dinf * params.v_r
     vo_row = np.zeros(n)
-    vo_row[:2] = vo_p
+    vo_row[:m] = vo_p
     labels += [f"z{k + 1}" for k in range(nc)]
     return ClosedLoop(params, scheme, A, b_on, b_off, y_row, y_const,
                       vo_row, tuple(labels))
@@ -279,6 +238,10 @@ class CycleEngine:
         self.h_slope_dt = p.V_m / grid
         # bisection fallback tolerance in subinterval units: 1e-13 T
         self.u_tol = max(1e-13 * self.T / self.dt, 4e-16)
+        # (x, J): the last period-1 orbit steady_state solved on this
+        # engine and the exact Jacobian its final Newton evaluation left
+        # there (None when that evaluation grazed the ramp)
+        self.orbit = (None, None)
 
     def _crossing_in_cell(self, i: int, x_aug: np.ndarray) -> Tuple[float, np.ndarray]:
         """Refine the crossing inside (t_{i-1}, t_i]; returns (u*, x(t_{i-1}))."""
@@ -632,10 +595,11 @@ def steady_state(
     fails.  Each iterate takes its residual and its exact Jacobian from
     one ``step_jacobian`` call, so both share one crossing solve; only an
     iterate whose cycle saturates (or grazes the ramp) falls back to the
-    finite-difference ``cycle_jacobian``.  Saturated-duty fixed points
-    are rejected: the target is the switching orbit, not the degenerate
-    always-off/always-on fixed points.  Raises NoConvergence when every
-    attempt fails.
+    finite-difference ``cycle_jacobian``.  The exact Jacobian at the
+    returned orbit is left on the engine as ``engine.orbit = (x, J)``.
+    Saturated-duty fixed points are rejected: the target is the switching
+    orbit, not the degenerate always-off/always-on fixed points.  Raises
+    NoConvergence when every attempt fails.
     """
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
@@ -669,6 +633,7 @@ def steady_state(
                     raise NoConvergence(
                         "Newton landed on a saturated-duty fixed point"
                     )
+                eng.orbit = (x, J)
                 return x, duty
             if J is None:
                 # a saturated cycle is affine with J = Phi(T); an integrating

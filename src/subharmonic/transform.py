@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -254,22 +255,41 @@ def _smooth_window(x: np.ndarray) -> np.ndarray:
     return 1.0 - s
 
 
-def _windowed_sum(terms: np.ndarray, n: int) -> float:
-    # terms are ordered by k, so weights are exactly 1 up to k = 0.9 n;
-    # only the taper slice needs the window polynomial
+# The oracle is called over and over with one (D, K), e.g. a catalog
+# check sweeping p at fixed D: the phase factors and the taper weights
+# depend on nothing else, so small caches keep them (read-only; a phase
+# entry is 240 KB at K = 1e4).
+
+
+@lru_cache(maxsize=16)
+def _taper(n: int):
+    """(flat, weights): the terms k <= flat = 0.9 n have weight exactly 1."""
     flat = min(int(0.9 * n), n)
-    head = float(terms[:flat].sum())
-    k_tail = np.arange(flat + 1, n + 1, dtype=float)
-    w = _smooth_window(k_tail / n)
-    return head + float((w * terms[flat:n]).sum())
+    w = _smooth_window(np.arange(flat + 1, n + 1, dtype=float) / n)
+    w.setflags(write=False)
+    return flat, w
+
+
+@lru_cache(maxsize=8)
+def _phase(D: float, K: int):
+    """k = 1..K and the factors 1 - e^{j 2 pi D k}."""
+    k = np.arange(1, K + 1, dtype=float)
+    one_minus = 1.0 - np.exp(2j * np.pi * D * k)
+    k.setflags(write=False)
+    one_minus.setflags(write=False)
+    return k, one_minus
+
+
+def _windowed_sum(terms: np.ndarray, n: int) -> float:
+    flat, w = _taper(n)
+    return float(terms[:flat].sum()) + float((w * terms[flat:n]).sum())
 
 
 def _raw_terms(evalT, D: float, omega_s: float, K: int) -> np.ndarray:
-    k = np.arange(1, K + 1, dtype=float)
+    k, one_minus = _phase(D, K)
     full = evalT(1j * k * omega_s)
     half = evalT(1j * (k - 0.5) * omega_s)
-    phase = np.exp(2j * np.pi * D * k)
-    return 2.0 * ((1.0 - phase) * full - half).real
+    return 2.0 * (one_minus * full - half).real
 
 
 def _constant_part(T, omega_s: float) -> float:

@@ -251,6 +251,29 @@ def test_config_rejection(tmp_path, mutate, hint):
     assert hint.lower() in r.stderr.lower()
 
 
+LC_PLANT = """v_s = 10.0
+v_r = 3.0
+V_l = 0.0
+V_h = 1.0
+f_s = 1e5
+L = 1e-4
+R = 1.0
+C = 100e-6
+"""
+
+
+@pytest.mark.parametrize("scheme", ["scheme = cmc\n",
+                                    "scheme = cfpvr\nk_p = 1.0\n"])
+def test_series_pole_sweep_needs_a_compensator_pole(tmp_path, scheme):
+    cfg = write_cfg(tmp_path, scheme + LC_PLANT)
+    out = tmp_path / "l.csv"
+    r = run_cli("lplot", "--config", cfg, "--terms", "200",
+                "--sweep", "p:0.1:0.5:5", "--out", str(out))
+    assert r.returncode == 3
+    assert r.stderr.count("DomainError") == 1
+    assert not out.exists()
+
+
 def test_scheme_conditional_keys(tmp_path):
     # a proportional-gain key has no meaning for the averaged-current loop
     cfg = write_cfg(tmp_path, BASE.replace("scheme = rlp", "scheme = acmc"))

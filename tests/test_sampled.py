@@ -296,3 +296,12 @@ def test_window_endpoints_match_closed_form_ratio_sweeps(which, ex2, sch2,
     assert len(exact) == 2
     assert abs(curve.crossings[0] - exact[0]) <= 0.07
     assert abs(curve.crossings[1] - exact[1]) <= 0.07
+
+
+@pytest.mark.parametrize("variable", ["p", "omega_p", "D"])
+def test_sweep_variable_the_loop_lacks_is_rejected(ex1, variable):
+    # the RL loop has no compensator pole, and the switched loop sets its
+    # own duty: one DomainError, not a failed point per value
+    from subharmonic import DomainError
+    with pytest.raises(DomainError):
+        pole_trajectory(ex1, RLP(k_p=8.0), variable, [0.2, 0.3])

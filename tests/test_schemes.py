@@ -347,3 +347,56 @@ def test_loop_gain_shapes(ex1, ex2, sch2, ex3, sch3):
     assert T.integrators >= 1
     T3 = loop_gain_hf(ex3, sch3)
     assert T3.relative_degree >= 1
+
+
+# ------------------------------------------- sweeps and duty-coupled solves
+
+
+POLELESS = [CMC(), PVMC(k_p=2.0), CFPVR(k_p=1.0), RLP(k_p=8.0)]
+
+
+@pytest.mark.parametrize("variable", ["p", "omega_p"])
+@pytest.mark.parametrize("scheme", POLELESS, ids=lambda s: type(s).__name__)
+def test_pole_sweep_needs_a_compensator_pole(scheme, variable, ex2):
+    with pytest.raises(DomainError, match="omega_p"):
+        lplot(ex2, scheme, variable, np.linspace(0.1, 0.9, 9))
+
+
+def test_pole_sweep_in_ratio_or_frequency_agrees(ex2, sch2):
+    grid = np.linspace(0.05, 0.95, 19)
+    by_ratio = lplot(ex2, sch2, "p", grid)
+    by_freq = lplot(ex2, sch2, "omega_p", grid * ex2.omega_s)
+    np.testing.assert_allclose(by_freq.lvalues, by_ratio.lvalues, rtol=1e-12)
+    np.testing.assert_allclose(np.array(by_freq.crossings) / ex2.omega_s,
+                               by_ratio.crossings, rtol=1e-8)
+
+
+# a 12 V to 3.3 V plant; every (scheme, variable) pair below moves the
+# nominal duty with the variable
+PLANT_12V = BuckParams(v_s=12.0, v_r=3.3, V_l=0.0, V_h=1.0, f_s=300e3,
+                       L=1e-6, R=0.5, C=200e-6, R_c=5e-3)
+W_12V = PLANT_12V.omega_s
+COUPLED = [
+    (CMC(), "v_s"),
+    (PVMC(k_p=5.0), "v_s"),
+    (CFPVR(k_p=1.0), "v_s"),
+    (CFPVR(k_p=1.0), "k_p"),
+    (ACMC(R_s=0.5, K_c=1e3, z_c=5e3, omega_p=0.3 * W_12V), "v_s"),
+    (VMC3(K_c=7.78e4, kappa_z=0.5, omega_p=0.3 * W_12V), "v_s"),
+]
+
+
+@pytest.mark.parametrize("scheme,variable", COUPLED,
+                         ids=lambda x: x if isinstance(x, str)
+                         else type(x).__name__)
+def test_unpinned_solve_lands_on_its_own_duty(scheme, variable):
+    """With no duty pinned, L = 1 at the critical value and the duty that
+    value itself implies."""
+    x = solve_critical(PLANT_12V, scheme, variable).critical_value
+    params, sch = PLANT_12V, scheme
+    if variable == "v_s":
+        params = dataclasses.replace(params, v_s=x)
+    else:
+        sch = dataclasses.replace(sch, k_p=x)
+    assert closed_form_lvalue(params, sch, duty_ratio(params, sch)) == \
+        pytest.approx(1.0, abs=1e-9)

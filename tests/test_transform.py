@@ -65,6 +65,81 @@ def test_correction_c_matches_mpmath(D):
         assert err <= 1e-9, (p, float(err))
 
 
+def _alpha_mp(D, p):
+    # mpf arguments, evaluated at the caller's working precision
+    pi = mpmath.pi
+    return (2 * pi * mpmath.csch(2 * pi * p)
+            - pi * mpmath.exp(pi * p * (1 - 2 * D)) * mpmath.csch(pi * p))
+
+
+def _case_mp(cid, D, p, z, ws):
+    """Catalog entry straight from its defining formula, mpf arguments."""
+    pi = mpmath.pi
+    a0 = pi * (2 * D - 1)
+    a1 = pi**2 * (2 * D * D - 2 * D + 1)
+    a = _alpha_mp(D, p) if p is not None else None
+    return {
+        "C1": lambda: a / ws,
+        "C2": lambda: a0 / ws,
+        "C3": lambda: p * a,
+        "C4": lambda: -p / z + p * (1 - p / z) * a,
+        "C5": lambda: (a0 - a) / ws,
+        "C6": lambda: a1 / ws**2,
+        "C7": lambda: (a0 / z + a1) / ws**2,
+        "C8": lambda: (a0 + (p / z - 1) * a) / ws,
+        "C9": lambda: (p / z * a1 + (1 / p - 1 / z) * (a - a0 + a1 * p)) / ws**2,
+    }[cid]()
+
+
+# D over the closed interval; p from 1e-8 to 50, plus both sides of the
+# Taylor switches of alpha (1e-3) and correction_c (1e-2)
+MP_D = np.linspace(0.0, 1.0, 11)
+MP_P = np.concatenate([np.logspace(-8, np.log10(50.0), 31),
+                       [np.nextafter(1e-3, 0.0), 1e-3,
+                        np.nextafter(1e-2, 0.0), 1e-2]])
+# integrator count: the case's value scales as omega_s ** -m
+CASE_POWER = {"C1": 1, "C2": 1, "C3": 0, "C4": 0, "C5": 1, "C6": 2,
+              "C7": 2, "C8": 1, "C9": 2}
+NEEDS_P = ("C1", "C3", "C4", "C5", "C8", "C9")
+NEEDS_Z = ("C4", "C7", "C8", "C9")
+
+
+def test_alpha_matches_mpmath():
+    # absolute error, since alpha is O(1) where it is not exponentially
+    # small; measured worst 1.9e-13, at p = 1e-3 on the direct side
+    with mpmath.workdps(40):
+        for D in MP_D:
+            for p in MP_P:
+                ref = _alpha_mp(mpmath.mpf(D), mpmath.mpf(p))
+                err = abs(mpmath.mpf(alpha(D, p)) - ref)
+                assert err <= 1e-12 * max(abs(ref), 1), (D, p, float(err))
+
+
+@pytest.mark.parametrize("cid", sorted(CASE_POWER))
+def test_catalog_matches_mpmath(cid):
+    # error relative to the value, or to the case's own scale
+    # omega_s ** -m where the value passes through zero; measured worst
+    # 1.9e-13, except C9 (through correction_c's direct side just above
+    # p = 1e-2): 2.6e-12
+    ws = 2.0 * np.pi * 1e5
+    tol = 1e-11 if cid == "C9" else 1e-12
+    with mpmath.workdps(40):
+        for z in ((0.8, 3.0) if cid in NEEDS_Z else (None,)):
+            for p in (MP_P if cid in NEEDS_P else (None,)):
+                kw = {"p": p, "z": z}
+                case = TableCase(cid, **{k: v for k, v in kw.items()
+                                         if v is not None})
+                mp = {k: None if v is None else mpmath.mpf(v)
+                      for k, v in kw.items()}
+                for D in MP_D:
+                    ref = _case_mp(cid, mpmath.mpf(D), mp["p"], mp["z"],
+                                   mpmath.mpf(ws))
+                    got = f_transform_case(case, D, ws)
+                    scale = max(abs(ref), mpmath.mpf(ws) ** -CASE_POWER[cid])
+                    err = abs(mpmath.mpf(got) - ref) / scale
+                    assert err <= tol, (D, p, z, float(err))
+
+
 def test_kernel_anchor_values():
     # frozen reference evaluations
     assert alpha(0.3, 0.5) == pytest.approx(-2.014834812780643, rel=1e-13)
