@@ -5,7 +5,9 @@ trailing-edge PWM: the cycle starts in the on stage and commutes at the
 first crossing of the compensator output with the ramp.  Within a stage
 the dynamics ẋ = Ax + b is integrated exactly with matrix exponentials;
 only the crossing localization is iterative, refined well below 1e-13 of
-a period.  The stroboscopic sequence x(nT) is the ground truth used for
+a period.  ``CycleEngine`` runs a cycle along one path, which the plain,
+Jacobian and dense steps share, so all three give the same x(T) to the
+bit.  The stroboscopic sequence x(nT) is the ground truth used for
 subharmonic (period-doubling) detection.
 """
 
@@ -174,8 +176,8 @@ def build_closed_loop(params: BuckParams, scheme: ControlScheme) -> ClosedLoop:
 # Exact cycle stepping.
 
 
-def _taylor_terms(M: np.ndarray) -> List[np.ndarray]:
-    """Powers M^j / j! with the tail below 1e-22; M must be pre-scaled."""
+def _taylor_terms(M: np.ndarray) -> np.ndarray:
+    """Stack of M^j / j! with the tail below 1e-22; M must be pre-scaled."""
     theta = np.linalg.norm(M, 1)
     if theta > 8.0:
         raise NumericalFailure(
@@ -189,7 +191,7 @@ def _taylor_terms(M: np.ndarray) -> List[np.ndarray]:
         bound *= theta / j
         if bound < 1e-22 and j >= 4:
             break
-    return terms
+    return np.array(terms)
 
 
 class CycleEngine:
@@ -198,6 +200,11 @@ class CycleEngine:
     grid subdivides the period for crossing detection (and dense output);
     every propagation step is a matrix exponential, so grid only affects
     which sign change is seen first, not the accuracy of the states.
+    Whole cells propagate through the stacks Phi_on[j] = e^{M_on j dt}
+    and Phi_off[j]; the cell that holds the switching instant propagates
+    through the Taylor series of each stage summed over its fraction of
+    the cell.  ``step``, ``step_jacobian`` and ``step_dense`` all run
+    that one propagation, so they return bit-identical (x(T), duty).
     """
 
     def __init__(self, loop: ClosedLoop, grid: int = 64):
@@ -209,30 +216,29 @@ class CycleEngine:
         self.dt = self.T / grid
         n = loop.dim
         self.n = n
-        M_on = np.zeros((n + 1, n + 1))
+        m = n + 1
+        M_on = np.zeros((m, m))
         M_on[:n, :n] = loop.A
         M_on[:n, n] = loop.b_on
         M_off = M_on.copy()
         M_off[:n, n] = loop.b_off
 
-        self.P_on = _taylor_terms(M_on * self.dt)
-        self.P_off = _taylor_terms(M_off * self.dt)
-        # the same series flattened into rows, so step_jacobian sums the
-        # propagator over any fraction of a cell in one product
-        self._P_on_rows = np.array(self.P_on).reshape(len(self.P_on), -1)
-        self._P_off_rows = np.array(self.P_off).reshape(len(self.P_off), -1)
-        E_on = expm(M_on * self.dt)
-        E_off = expm(M_off * self.dt)
-        self.Phi_on = [np.eye(n + 1)]
-        self.Phi_off = [np.eye(n + 1)]
-        for _ in range(grid):
-            self.Phi_on.append(E_on @ self.Phi_on[-1])
-            self.Phi_off.append(E_off @ self.Phi_off[-1])
+        # each stage's Taylor stack, flattened into rows so the propagator
+        # over any fraction u of a cell is the one product u**k @ rows
+        self._P_on_rows = _taylor_terms(M_on * self.dt).reshape(-1, m * m)
+        self._P_off_rows = _taylor_terms(M_off * self.dt).reshape(-1, m * m)
+        E_on, E_off = expm(M_on * self.dt), expm(M_off * self.dt)
+        self.Phi_on = np.empty((grid + 1, m, m))
+        self.Phi_off = np.empty((grid + 1, m, m))
+        self.Phi_on[0] = self.Phi_off[0] = np.eye(m)
+        for j in range(grid):
+            self.Phi_on[j + 1] = E_on @ self.Phi_on[j]
+            self.Phi_off[j + 1] = E_off @ self.Phi_off[j]
 
         self.y_aug = np.append(loop.y_row, loop.y_const)
         # y along the on-stage grid: row i gives y(t_i) as a form on x_aug(0)
-        self.yPhi_on = np.array([self.y_aug @ P for P in self.Phi_on])
-        self.yP_on = np.array([self.y_aug @ P for P in self.P_on])
+        self.yPhi_on = self.y_aug @ self.Phi_on
+        self.yP_on = self.y_aug @ self._P_on_rows.reshape(-1, m, m)
         p = loop.params
         self.h_grid = p.V_l + p.V_m * np.arange(grid + 1) / grid
         self.h_slope_dt = p.V_m / grid
@@ -279,37 +285,45 @@ class CycleEngine:
         u, x_base = self._crossing_in_cell(i, x_aug)
         return (i - 1 + u) / self.grid, i, u, x_base
 
-    def _cross(self, i: int, u: float, x_base: np.ndarray) -> np.ndarray:
-        """x(t_i): the state at the end of cell i, which switches off at u."""
-        # on-stage partial step to the crossing
-        x_star = np.zeros_like(x_base)
-        for P in self.P_on[::-1]:
-            x_star = x_star * u + P @ x_base
-        # off-stage remainder of the cell
-        x_cell = np.zeros_like(x_base)
-        w = 1.0 - u
-        for P in self.P_off[::-1]:
-            x_cell = x_cell * w + P @ x_star
-        return x_cell
+    def _cycle(self, x: np.ndarray):
+        """Run the cycle that starts at x once.
 
-    def step(self, x: np.ndarray) -> Tuple[np.ndarray, float]:
-        """One exact switching period: returns (x(T), duty)."""
+        Returns (x(T), duty, x_aug, cell): x_aug is x with the constant 1
+        appended, and cell is None for a saturated cycle, else
+        (i, S_on, x_star, x_cell, Phi_end): the switch turns off inside
+        cell i, S_on propagates over the on part of that cell, x_star is
+        the augmented state at the switching instant, x_cell the one at
+        the end of the cell, and Phi_end propagates from t* to T.
+        """
         x_aug = np.append(x, 1.0)
         duty, i, u, x_base = self._switch(x_aug)
         if i is None:
             out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
-        else:
-            x_cell = self._cross(i, u, x_base)
-            out = self.Phi_off[self.grid - i] @ x_cell
-        return out[:-1] / out[-1], duty
+            return out[:-1] / out[-1], duty, x_aug, None
+        m = self.n + 1
+        S_on = (u ** np.arange(len(self._P_on_rows))
+                @ self._P_on_rows).reshape(m, m)
+        S_off = ((1.0 - u) ** np.arange(len(self._P_off_rows))
+                 @ self._P_off_rows).reshape(m, m)
+        x_star = S_on @ x_base
+        # x(T) through Phi_end, the propagator the Jacobian is built on
+        Phi_end = self.Phi_off[self.grid - i] @ S_off
+        out = Phi_end @ x_star
+        cell = (i, S_on, x_star, S_off @ x_star, Phi_end)
+        return out[:-1] / out[-1], duty, x_aug, cell
+
+    def step(self, x: np.ndarray) -> Tuple[np.ndarray, float]:
+        """One exact switching period: returns (x(T), duty)."""
+        x_T, duty, _, _ = self._cycle(x)
+        return x_T, duty
 
     def step_jacobian(
         self, x: np.ndarray
     ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
         """One period plus the exact Jacobian of the cycle map at x.
 
-        Returns (x(T), duty, J): duty is the one ``step`` gives and x(T)
-        agrees with it to rounding.  J is the saltation-matrix derivative
+        Returns (x(T), duty, J): x(T) and duty are identical to what
+        ``step`` gives.  J is the saltation-matrix derivative
 
             J = Phi_off(T - t*) [Phi_on(t*) - outer(jump, c Phi_on(t*)) / rate]
 
@@ -322,19 +336,10 @@ class CycleEngine:
         when the crossing grazes the ramp (rate = 0), where the map has
         no derivative.
         """
-        x_aug = np.append(x, 1.0)
-        duty, i, u, x_base = self._switch(x_aug)
-        if i is None:
-            out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
-            return out[:-1] / out[-1], duty, None
-        # the stage propagators over the fractions u and 1 - u of cell i
-        m = self.n + 1
-        S_on = (u ** np.arange(len(self.P_on)) @ self._P_on_rows).reshape(m, m)
-        S_off = ((1.0 - u) ** np.arange(len(self.P_off))
-                 @ self._P_off_rows).reshape(m, m)
-        x_star = S_on @ x_base
-        Phi_end = self.Phi_off[self.grid - i] @ S_off
-        out = Phi_end @ x_star
+        x_T, duty, _, cell = self._cycle(x)
+        if cell is None:
+            return x_T, duty, None
+        i, S_on, x_star, _, Phi_end = cell
         loop, n = self.loop, self.n
         f_on = loop.A @ x_star[:n] + loop.b_on
         rate = self.dt * (loop.y_row @ f_on) - self.h_slope_dt
@@ -347,8 +352,7 @@ class CycleEngine:
         Phi_star = (S_on @ self.Phi_on[i - 1])[:n, :n]
         jump = self.dt * (loop.b_on - loop.b_off)
         saltated = Phi_star - np.outer(jump / rate, loop.y_row @ Phi_star)
-        J = Phi_end[:n, :n] @ saltated
-        return out[:-1] / out[-1], duty, J
+        return x_T, duty, Phi_end[:n, :n] @ saltated
 
     def step_dense(self, x: np.ndarray):
         """One period with grid-resolution sampling of (x, y, h, v_d).
@@ -356,29 +360,18 @@ class CycleEngine:
         Returns (x_T, duty, xs, ys, vds) where xs holds x(t_j) for
         j = 0..grid-1 (the cycle's half-open sample set).
         """
-        x_aug = np.append(x, 1.0)
-        duty, i, u, x_base = self._switch(x_aug)
-        xs = np.empty((self.grid, self.n))
-        vds = np.empty(self.grid)
-        v_s = self.loop.params.v_s
-        if i is None:
-            Phi = self.Phi_on if duty else self.Phi_off
-            for j in range(self.grid):
-                xs[j] = (Phi[j] @ x_aug)[:-1]
-            vds[:] = v_s if duty else 0.0
-            out = Phi[self.grid] @ x_aug
+        x_T, duty, x_aug, cell = self._cycle(x)
+        if cell is None:
+            # one stage the whole period: every sample on (no off-stage
+            # samples are taken) or every sample off, starting from x_aug
+            i, x_cell = (self.grid if duty else 0), x_aug
         else:
-            x_cell = self._cross(i, u, x_base)
-            for j in range(self.grid):
-                if j < i:
-                    xs[j] = (self.Phi_on[j] @ x_aug)[:-1]
-                    vds[j] = v_s
-                else:
-                    xs[j] = (self.Phi_off[j - i] @ x_cell)[:-1]
-                    vds[j] = 0.0
-            out = self.Phi_off[self.grid - i] @ x_cell
+            i, _, _, x_cell, _ = cell
+        xs = np.concatenate((self.Phi_on[:i] @ x_aug,
+                             self.Phi_off[:self.grid - i] @ x_cell))[:, :-1]
+        vds = np.where(np.arange(self.grid) < i, self.loop.params.v_s, 0.0)
         ys = xs @ self.loop.y_row + self.loop.y_const
-        return out[:-1] / out[-1], duty, xs, ys, vds
+        return x_T, duty, xs, ys, vds
 
 
 def step_cycle(

@@ -1,7 +1,9 @@
 """Exact switched-cycle simulation: propagation, classification, orbits."""
 
 import dataclasses
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +25,10 @@ from subharmonic import (
     steady_state,
     step_cycle,
 )
+from subharmonic.config import load_config
+
+from conftest import config_path
+from test_sampled import SCENARIOS, _scenario
 
 
 # ----------------------------------------------------------- construction
@@ -85,6 +91,36 @@ def test_saturated_cycle_keeps_switch_on(ex1, rlp8):
     tau = ex1.L / ex1.R
     want = (ex1.v_s / ex1.R) * (1.0 - math.exp(-ex1.T / tau))
     assert x1[0] == pytest.approx(want, rel=1e-12)
+
+
+def _assert_one_propagation(eng, states):
+    # step, step_jacobian and step_dense run the same cycle, so they must
+    # agree to the bit, and the dense samples start at the input itself
+    for x in states:
+        x_T, duty = eng.step(x)
+        x_j, duty_j, _ = eng.step_jacobian(x)
+        x_d, duty_d, xs, _, _ = eng.step_dense(x)
+        assert np.array_equal(x_j, x_T) and duty_j == duty, x
+        assert np.array_equal(x_d, x_T) and duty_d == duty, x
+        assert np.array_equal(xs[0], x), x
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(config_path("*_sim*.cfg"))))
+def test_steps_share_one_propagation_on_config_runs(name):
+    cfg = load_config(config_path(name))
+    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    _assert_one_propagation(eng, tr.strobe[-40:])
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_steps_share_one_propagation_at_orbits(name, ex1, ex2, sch2, ex3,
+                                               sch4_at):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng = CycleEngine(build_closed_loop(params, scheme))
+    x, _ = steady_state(params, scheme, engine=eng)
+    _assert_one_propagation(eng, [x])
 
 
 # ----------------------------------------------------------- full runs

@@ -3,6 +3,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subharmonic import (
     DomainError,
@@ -113,6 +115,18 @@ def test_alpha_matches_mpmath():
                 ref = _alpha_mp(mpmath.mpf(D), mpmath.mpf(p))
                 err = abs(mpmath.mpf(alpha(D, p)) - ref)
                 assert err <= 1e-12 * max(abs(ref), 1), (D, p, float(err))
+
+
+def test_alpha_matches_mpmath_around_taylor_switch():
+    # the direct form cancels for small p; both sides of the switch to
+    # the series must hold near the series' own accuracy (measured worst
+    # 2.2e-14, against 1.8e-13 with the switch at p = 1e-3)
+    with mpmath.workdps(40):
+        for D in MP_D:
+            for p in np.logspace(-3.0, np.log10(2e-2), 41):
+                ref = _alpha_mp(mpmath.mpf(D), mpmath.mpf(p))
+                err = abs(mpmath.mpf(alpha(D, p)) - ref)
+                assert err <= 5e-14, (D, p, float(err))
 
 
 @pytest.mark.parametrize("cid", sorted(CASE_POWER))
@@ -343,6 +357,28 @@ def test_rational_route_agrees_with_catalog():
                 want = f_transform_case(TableCase(cid, **kw), D, WS)
                 got = f_transform_rational(make(p * WS, z * WS), D, WS)
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+
+_CORNERS = st.floats(0.05, 5.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(poles=st.lists(_CORNERS, min_size=1, max_size=3),
+       zeros=st.lists(_CORNERS, max_size=2),
+       integrators=st.integers(0, 1),
+       D=st.floats(0.1, 0.9))
+def test_series_matches_rational_route_on_random_shapes(poles, zeros,
+                                                        integrators, D):
+    # the oracle summed term by term against the partial-fraction route,
+    # on shapes with distinct real poles, corners in units of omega_s
+    poles = sorted(poles)
+    assume(all(b > 1.01 * a for a, b in zip(poles, poles[1:])))
+    assume(len(zeros) <= len(poles))
+    T = RationalTF(1.0, zeros=[z * WS for z in zeros],
+                   poles=[p * WS for p in poles], integrators=integrators)
+    exact = f_transform_rational(T, D, WS)
+    ser = f_transform_series(T, D, WS, K=10_000)
+    assert abs(ser - exact) <= 1e-7 * max(1.0, abs(exact))
 
 
 def test_rational_route_rejects_near_repeated_poles():
