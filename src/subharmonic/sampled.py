@@ -15,10 +15,11 @@ derivative from ``CycleEngine.step_jacobian``.  The central-difference
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DegenerateOrbit,
@@ -177,15 +178,27 @@ _FAILURES = (
 )
 
 
+@lru_cache(maxsize=None)
+def _permutation_table(n: int) -> np.ndarray:
+    """All permutations of range(n), one per row, in lexicographic order."""
+    return np.array(list(permutations(range(n))), dtype=np.intp)
+
+
+def linear_sum_assignment(cost: np.ndarray) -> Tuple[int, ...]:
+    """Column for each row of the square cost, of least total, by brute force.
+
+    Totals within 1e-9 relative of the least tie, and the first tied
+    permutation in lexicographic order wins, so the two reals a conjugate
+    pair splits into (equally far from it) keep their canonical order."""
+    table = _permutation_table(len(cost))
+    totals = cost[np.arange(len(cost)), table].sum(axis=1)
+    return tuple(table[np.argmax(totals <= totals.min() * (1.0 + 1e-9))])
+
+
 def _match(prev: Sequence[complex], eigs: Tuple[complex, ...]) -> Tuple[complex, ...]:
     """Reorder eigs to follow prev continuously (nearest-neighbor matching)."""
-    n = len(eigs)
-    cost = np.empty((n, n))
-    for i, p in enumerate(prev):
-        for j, e in enumerate(eigs):
-            cost[i, j] = abs(p - e)
-    _, cols = linear_sum_assignment(cost)
-    return tuple(eigs[j] for j in cols)
+    cost = np.abs(np.subtract.outer(np.asarray(prev), np.asarray(eigs)))
+    return tuple(eigs[j] for j in linear_sum_assignment(cost))
 
 
 def pole_trajectory(

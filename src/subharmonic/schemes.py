@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import bisect, brentq
 
+from ._roots import bisect, brentq
 from .errors import DomainError, MissingParameter, NoRoot
 from .tf import RationalTF
 from .transform import alpha, alpha0, alpha1

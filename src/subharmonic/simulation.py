@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import (
     DegenerateOrbit,
     Divergence,
@@ -194,6 +193,11 @@ def _taylor_terms(M: np.ndarray) -> np.ndarray:
     return np.array(terms)
 
 
+def expm(terms: np.ndarray) -> np.ndarray:
+    """e^M as the sum of the stack of M^j / j! that ``_taylor_terms`` built."""
+    return terms.sum(axis=0)
+
+
 class CycleEngine:
     """Precomputed exact propagators for one switching period.
 
@@ -227,7 +231,8 @@ class CycleEngine:
         # over any fraction u of a cell is the one product u**k @ rows
         self._P_on_rows = _taylor_terms(M_on * self.dt).reshape(-1, m * m)
         self._P_off_rows = _taylor_terms(M_off * self.dt).reshape(-1, m * m)
-        E_on, E_off = expm(M_on * self.dt), expm(M_off * self.dt)
+        E_on, E_off = (expm(rows).reshape(m, m)
+                       for rows in (self._P_on_rows, self._P_off_rows))
         self.Phi_on = np.empty((grid + 1, m, m))
         self.Phi_off = np.empty((grid + 1, m, m))
         self.Phi_on[0] = self.Phi_off[0] = np.eye(m)

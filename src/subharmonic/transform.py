@@ -290,9 +290,15 @@ def _windowed_sum(terms: np.ndarray, n: int) -> float:
 
 def _raw_terms(evalT, D: float, omega_s: float, K: int) -> np.ndarray:
     k, one_minus = _phase(D, K)
-    full = evalT(1j * k * omega_s)
-    half = evalT(1j * (k - 0.5) * omega_s)
-    return 2.0 * (one_minus * full - half).real
+    terms = np.empty(K)
+    # 4096 terms at a time: whole-K complex temporaries (160 KB at K = 1e4)
+    # make the allocator map and fault in fresh pages on every call
+    for lo in range(0, K, 4096):
+        part = slice(lo, lo + 4096)
+        full = evalT(1j * k[part] * omega_s)
+        half = evalT(1j * (k[part] - 0.5) * omega_s)
+        terms[part] = 2.0 * (one_minus[part] * full - half).real
+    return terms
 
 
 def _constant_part(T, omega_s: float) -> float:

@@ -346,3 +346,26 @@ def test_line_endings_and_no_temp_litter(tmp_path):
     leftovers = [p for p in os.listdir(tmp_path)
                  if p.startswith(".subharmonic_")]
     assert leftovers == []
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the package needs only numpy; a scipy import anywhere fails this run
+    runs = [[cmd, "--config", config_path(cfg + ".cfg"),
+             "--out", str(tmp_path / f"{cfg}.csv"), *extra]
+            for cmd, cfg, extra in [("critical", "cmc_critical", []),
+                                    ("window", "ex2_window", []),
+                                    ("simulate", "ex3_sim", ["--cycles", "80"]),
+                                    ("poles", "ex2_poles", [])]]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from subharmonic.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    code = main(args)\n"
+        "    if code:\n"
+        "        sys.exit(f'{args}: exit {code}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("SUBHARMONIC_THREADS", None)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr

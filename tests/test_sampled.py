@@ -251,6 +251,15 @@ def test_failed_points_are_recorded_not_fatal(ex1):
     assert np.isnan(traj.tracks()[0, 0])
 
 
+@pytest.mark.parametrize("nudge", [-1e-15, 0.0, 1e-15, 3e-15])
+def test_pair_split_keeps_canonical_order(nudge):
+    # a conjugate pair splitting into two reals ties both assignments
+    # exactly, so the rounding of the pair must not pick the column order
+    prev = (complex(-0.570, 0.221 + nudge), complex(-0.570, -0.221))
+    reals = (-0.809 + 0j, -0.407 + 0j)
+    assert sampled._match(prev, reals) == reals
+
+
 def test_trajectory_is_deterministic(ex2, sch2):
     grid = np.linspace(0.15, 0.55, 9)
     a = pole_trajectory(ex2, sch2, "p", grid)

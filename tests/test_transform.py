@@ -18,6 +18,7 @@ from subharmonic import (
     f_transform_rational,
     f_transform_series,
 )
+from subharmonic.transform import _raw_terms
 
 WS = 2.0 * np.pi
 D_GRID = np.arange(0.05, 0.951, 0.05)
@@ -170,10 +171,10 @@ def test_kernel_anchor_values():
 
 @pytest.mark.parametrize("D", np.arange(0.1, 0.91, 0.1))
 def test_alpha_continuous_across_taylor_handoff(D):
-    # the small-p branch switches at p = 1e-3; both sides must agree
+    # the small-p Taylor branch switches at p = 1e-2; both sides must agree
     eps = 1e-15
-    lo = alpha(D, 1e-3 * (1.0 - eps))
-    hi = alpha(D, 1e-3 * (1.0 + eps))
+    lo = alpha(D, 1e-2 * (1.0 - eps))
+    hi = alpha(D, 1e-2 * (1.0 + eps))
     assert abs(lo - hi) < 1e-11
 
 
@@ -309,6 +310,19 @@ def test_series_is_linear():
         rhs = (a * f_transform_series(T1, D, WS, K=10_000)
                + b * f_transform_series(T2, D, WS, K=10_000))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("K", [10, 4096, 10_000, 12_345])
+def test_blocked_series_terms_match_one_whole_evaluation(K):
+    # the oracle evaluates its terms in blocks; the terms are elementwise,
+    # so every one must equal the whole-array evaluation to the bit
+    T = RationalTF(2.0, zeros=[0.3 * WS], poles=[0.8 * WS, 2.5 * WS],
+                   integrators=1)
+    D = 0.37
+    k = np.arange(1, K + 1, dtype=float)
+    whole = 2.0 * ((1.0 - np.exp(2j * np.pi * D * k)) * T(1j * k * WS)
+                   - T(1j * (k - 0.5) * WS)).real
+    np.testing.assert_array_equal(_raw_terms(T, D, WS, K), whole)
 
 
 def test_series_maps_unity_to_minus_one():
