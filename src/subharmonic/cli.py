@@ -67,6 +67,23 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+_BLOCK_ROWS = 256
+
+
+def _float_rows(*columns):
+    """Rows of ``_fmt`` text from float columns (1-D arrays or 2-D blocks).
+
+    The columns share one row count.  Rows are converted to Python floats
+    ``_BLOCK_ROWS`` at a time, so a large table's floats and strings never
+    exist all at once.
+    """
+    fmt = "{:.17g}".format
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+        for row in block.tolist():
+            yield tuple(map(fmt, row))
+
+
 def _workers() -> int:
     env = os.environ.get("SUBHARMONIC_THREADS", "")
     if env:
@@ -210,12 +227,9 @@ def cmd_contour(cfg: RunConfig) -> int:
     surface = contour_data(D_grid, p_grid)
     out = _default_out(cfg, "contour")
 
-    def rows():
-        for i, d in enumerate(D_grid):
-            for j, p in enumerate(p_grid):
-                yield (_fmt(d), _fmt(p), _fmt(surface[i, j]))
-
-    _write_csv(out, ("D", "p", "gap"), rows())
+    _write_csv(out, ("D", "p", "gap"),
+               _float_rows(np.repeat(D_grid, len(p_grid)),
+                           np.tile(p_grid, len(D_grid)), surface.ravel()))
     imax = np.unravel_index(int(np.argmax(surface)), surface.shape)
     print(f"contour: {surface.size} points, wrote {out}")
     print(f"max gap = {_fmt(surface[imax])} at D = {_fmt(D_grid[imax[0]])}, "
@@ -258,14 +272,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         labels = trace.labels
         header = ("cycle", "duty") + labels
 
-        def rows():
-            for n in range(trace.strobe.shape[0]):
-                duty = trace.duties[n - 1] if n >= 1 else float("nan")
-                yield (str(n), _fmt(duty)) + tuple(
-                    _fmt(x) for x in trace.strobe[n]
-                )
-
-        _write_csv(out, header, rows())
+        duties = np.concatenate(([np.nan], trace.duties))
+        _write_csv(out, header, ((str(n),) + cells for n, cells in
+                                 enumerate(_float_rows(duties, trace.strobe))))
 
     try:
         trace = simulate(
@@ -286,16 +295,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     header = ("t",) + trace.labels + ("y", "h", "v_d")
     vo = None
     if d is not None:
-        _write_csv(
-            dense_out,
-            header,
-            (
-                (_fmt(d.t[i]),)
-                + tuple(_fmt(x) for x in d.x[i])
-                + (_fmt(d.y[i]), _fmt(d.h[i]), _fmt(d.v_d[i]))
-                for i in range(d.t.shape[0])
-            ),
-        )
+        _write_csv(dense_out, header,
+                   _float_rows(d.t, d.x, d.y, d.h, d.v_d))
         vo = d.x @ loop.vo_row
     print(f"simulate: {cycles} cycles, wrote {out} and {dense_out}")
     if vo is not None and vo.size:

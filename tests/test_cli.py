@@ -6,7 +6,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from subharmonic import simulate
+from subharmonic.config import load_config
 
 from conftest import config_path
 
@@ -155,6 +159,28 @@ def test_simulate_writes_strobe_and_dense(tmp_path):
     assert dheader[0] == "t"
     assert dheader[-3:] == ["y", "h", "v_d"]
     assert len(drows) > 1000
+
+
+def test_simulate_csv_round_trips_the_trace(tmp_path):
+    # every numeric cell parses back to the exact float of the run
+    cfg = load_config(config_path("ex2_sim_049.cfg"))
+    out = tmp_path / "s.csv"
+    r = run_cli("simulate", "--config", config_path("ex2_sim_049.cfg"),
+                "--cycles", "80", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    tr = simulate(cfg.params, cfg.scheme, cycles=80, dense=True,
+                  divergence_bound=cfg.divergence_bound)
+    header, rows = read_csv(out)
+    assert header == ["cycle", "duty", "i_L", "v_C", "z1", "z2"]
+    assert len(rows) == 81 and rows[0][1] == "nan"
+    assert [int(row[0]) for row in rows] == list(range(81))
+    assert [float(row[1]) for row in rows[1:]] == tr.duties.tolist()
+    assert [[float(c) for c in row[2:]] for row in rows] == tr.strobe.tolist()
+    d = tr.dense
+    dheader, drows = read_csv(tmp_path / "s_dense.csv")
+    assert dheader == ["t", "i_L", "v_C", "z1", "z2", "y", "h", "v_d"]
+    want = np.column_stack((d.t, d.x, d.y, d.h, d.v_d))
+    assert [[float(c) for c in row] for row in drows] == want.tolist()
 
 
 def test_simulate_detects_subharmonic(tmp_path):

@@ -25,6 +25,7 @@ from subharmonic import (
     steady_state,
     step_cycle,
 )
+from subharmonic._roots import brentq
 from subharmonic.config import load_config
 
 from conftest import config_path
@@ -123,6 +124,63 @@ def test_steps_share_one_propagation_at_orbits(name, ex1, ex2, sch2, ex3,
     _assert_one_propagation(eng, [x])
 
 
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_batched_grids_match_one_product_at_a_time(name, ex1, ex2, sch2, ex3,
+                                                   sch4_at):
+    # the two stages' grids are stepped as one stack; each must equal the
+    # chain E @ Phi[j] taken one product at a time
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng = CycleEngine(build_closed_loop(params, scheme))
+    m = eng.n + 1
+    for grids, rows in ((eng.Phi_on, eng._P_on_rows),
+                        (eng.Phi_off, eng._P_off_rows)):
+        E = rows.sum(axis=0).reshape(m, m)
+        chain = [np.eye(m)]
+        for _ in range(eng.grid):
+            chain.append(E @ chain[-1])
+        assert np.array_equal(grids, np.array(chain)), name
+
+
+def _assert_crossing_bits(eng, states):
+    # the crossing polynomial on numpy scalars, as it was first written:
+    # the engine's Python-float evaluation must give brentq the same u
+    crossings = 0
+    for x in states:
+        x_aug = np.append(x, 1.0)
+        _, i, u, _ = eng._switch(x_aug)
+        if i is None:
+            continue
+        coeffs = eng.yP_on @ (eng.Phi_on[i - 1] @ x_aug)
+        h0 = eng.h_grid[i - 1]
+
+        def g(v):
+            acc = 0.0
+            for c in coeffs[::-1]:
+                acc = acc * v + c
+            return acc - h0 - eng.h_slope_dt * v
+
+        assert brentq(g, 0.0, 1.0, xtol=eng.u_tol, rtol=8.9e-16) == u, x
+        crossings += 1
+    assert crossings > 0
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(config_path("*_sim*.cfg"))))
+def test_crossing_bits_on_config_runs(name):
+    cfg = load_config(config_path(name))
+    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    _assert_crossing_bits(eng, tr.strobe[-40:])
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_crossing_bits_at_orbits(name, ex1, ex2, sch2, ex3, sch4_at):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng = CycleEngine(build_closed_loop(params, scheme))
+    x, _ = steady_state(params, scheme, engine=eng)
+    _assert_crossing_bits(eng, [x])
+
+
 # ----------------------------------------------------------- full runs
 
 
@@ -185,6 +243,29 @@ def test_divergence_carries_partial_trace(ex1, rlp8):
     tr = info.value.trace
     assert tr.classification == "diverged"
     assert 1 <= len(tr.duties) < 128
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_divergence_on_non_finite_state(ex1, rlp8, monkeypatch, bad):
+    # the sixth step (cycle 5, counting from 0) returns a NaN or inf
+    # state, which fails the bound test at once: the partial trace holds
+    # the initial state, five finite states and the poisoned one
+    step = CycleEngine.step
+    calls = []
+
+    def poisoned(self, x):
+        calls.append(x)
+        x_T, duty = step(self, x)
+        return (np.full_like(x_T, bad) if len(calls) == 6 else x_T), duty
+
+    monkeypatch.setattr(CycleEngine, "step", poisoned)
+    with pytest.raises(Divergence, match="at cycle 6") as info:
+        simulate(ex1, rlp8, cycles=128)
+    tr = info.value.trace
+    assert tr.classification == "diverged"
+    assert tr.strobe.shape[0] == 7 and len(tr.duties) == 6
+    assert np.all(np.isfinite(tr.strobe[:6]))
+    np.testing.assert_array_equal(tr.strobe[6], bad)
 
 
 def test_dense_trace_structure(ex3, sch4_at):
