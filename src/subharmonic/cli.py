@@ -13,7 +13,6 @@ import dataclasses
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -82,28 +81,6 @@ def _float_rows(*columns):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
         for row in block.tolist():
             yield tuple(map(fmt, row))
-
-
-def _workers() -> int:
-    env = os.environ.get("SUBHARMONIC_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"SUBHARMONIC_THREADS must be an integer, got {env!r}"
-            ) from None
-        return max(1, n)
-    return 1
-
-
-def _thread_map(fn, items: Sequence):
-    """Map preserving order; parallel only when SUBHARMONIC_THREADS > 1."""
-    n = _workers()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
@@ -180,9 +157,7 @@ def cmd_lplot(cfg: RunConfig) -> int:
     grid = sweep.grid()
     if cfg.terms > 0:
         at = sweep_point(cfg.params, cfg.scheme, sweep.variable)
-        lvalues = np.array(_thread_map(
-            lambda v: _lvalue_series_at(cfg, at, v), grid
-        ))
+        lvalues = np.array([_lvalue_series_at(cfg, at, v) for v in grid])
         # linear interpolation is enough for a summary on a dense grid
         crossings = grid_crossings(grid, lvalues)
     else:
@@ -338,7 +313,12 @@ def cmd_poles(cfg: RunConfig) -> int:
     for c in traj.crossings:
         print(f"crossing: {c.direction} at {sweep.variable} = {_fmt(c.value)} "
               f"(eigenvalue {_fmt(c.eigenvalue.real)})")
-    if not traj.crossings:
+    # errors off the grid come from refining a crossing, not from a row
+    on_grid = set(grid.tolist())
+    off_grid = [(v, msg) for v, msg in traj.errors if v not in on_grid]
+    for v, msg in off_grid:
+        print(f"error at {sweep.variable} = {_fmt(v)}: {msg}")
+    if not traj.crossings and not off_grid:
         print("no -1 crossings")
     n_fail = sum(1 for ps in traj.pole_sets if ps is None)
     if n_fail:
@@ -389,22 +369,13 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _workers()
         cfg = load_config(args.config)
-        if args.sweep:
-            cfg = dataclasses.replace(cfg, sweep=parse_sweep(args.sweep))
-        if args.out:
-            cfg = dataclasses.replace(cfg, out=args.out)
-        if args.solve_for:
-            cfg = dataclasses.replace(cfg, solve_for=args.solve_for)
-        if args.cycles is not None:
-            if args.cycles < 2:
-                raise ConfigError("cycles must be at least 2")
-            cfg = dataclasses.replace(cfg, cycles=args.cycles)
-        if args.terms is not None:
-            if args.terms < 0:
-                raise ConfigError("terms must be non-negative")
-            cfg = dataclasses.replace(cfg, terms=args.terms)
+        # flags override config keys and pass the same RunConfig checks
+        flags = {"sweep": parse_sweep(args.sweep) if args.sweep else None,
+                 "out": args.out or None, "solve_for": args.solve_for or None,
+                 "cycles": args.cycles, "terms": args.terms}
+        cfg = dataclasses.replace(
+            cfg, **{k: v for k, v in flags.items() if v is not None})
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -65,10 +65,6 @@ def parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(var, start, stop, count, log)
 
 
-_OPTION_KEYS = ("duty", "sweep", "sweep_d", "sweep_p", "cycles", "terms",
-                "out", "solve_for", "divergence_bound")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs: plant, scheme, and run options."""
@@ -84,6 +80,16 @@ class RunConfig:
     out: Optional[str] = None
     solve_for: Optional[str] = None
     divergence_bound: float = 1e6
+
+    def __post_init__(self):
+        if self.duty is not None and not 0.0 < self.duty < 1.0:
+            raise ConfigError("duty must lie strictly inside (0, 1)")
+        if self.cycles is not None and self.cycles < 2:
+            raise ConfigError("cycles must be at least 2")
+        if self.terms < 0:
+            raise ConfigError("terms must be non-negative")
+        if self.divergence_bound <= 0.0:
+            raise ConfigError("divergence_bound must be positive")
 
 
 def _parse_lines(text: str, source: str) -> Dict[str, str]:
@@ -150,40 +156,21 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
             f"unknown scheme {raw['scheme']!r}; "
             f"one of {', '.join(sorted(SCHEMES))}"
         )
-    allowed = ({"scheme"} | set(_keys(BuckParams)) | set(_keys(SCHEMES[name]))
-               | set(_OPTION_KEYS))
+    allowed = {*_keys(BuckParams), *_keys(SCHEMES[name]),
+               *_keys(RunConfig)} - {"params"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     params = _build(BuckParams, raw, "the converter")
     scheme = _build(SCHEMES[name], raw, f"scheme {name!r}")
 
-    duty = _get_float(raw, "duty") if "duty" in raw else None
-    if duty is not None and not 0.0 < duty < 1.0:
-        raise ConfigError("duty must lie strictly inside (0, 1)")
-    cycles = _get_int(raw, "cycles") if "cycles" in raw else None
-    if cycles is not None and cycles < 2:
-        raise ConfigError("cycles must be at least 2")
-    terms = _get_int(raw, "terms") if "terms" in raw else 0
-    if terms < 0:
-        raise ConfigError("terms must be non-negative")
-    bound = (_get_float(raw, "divergence_bound")
-             if "divergence_bound" in raw else 1e6)
-    if bound <= 0.0:
-        raise ConfigError("divergence_bound must be positive")
-    return RunConfig(
-        params=params,
-        scheme=scheme,
-        duty=duty,
-        sweep=parse_sweep(raw["sweep"]) if "sweep" in raw else None,
-        sweep_d=parse_sweep(raw["sweep_d"]) if "sweep_d" in raw else None,
-        sweep_p=parse_sweep(raw["sweep_p"]) if "sweep_p" in raw else None,
-        cycles=cycles,
-        terms=terms,
-        out=raw.get("out"),
-        solve_for=raw.get("solve_for"),
-        divergence_bound=bound,
-    )
+    options = {k: raw[k] for k in ("out", "solve_for") if k in raw}
+    options.update((k, parse_sweep(raw[k]))
+                   for k in ("sweep", "sweep_d", "sweep_p") if k in raw)
+    options.update((k, _get_float(raw, k))
+                   for k in ("duty", "divergence_bound") if k in raw)
+    options.update((k, _get_int(raw, k)) for k in ("cycles", "terms") if k in raw)
+    return RunConfig(params, scheme, **options)
 
 
 def load_config(path: str) -> RunConfig:

@@ -39,8 +39,6 @@ __all__ = [
     "CriticalResult",
     "LPlotCurve",
     "Wiring",
-    "power_stage_vo",
-    "power_stage_il",
     "loop_gain_hf",
     "closed_form_lvalue",
     "duty_ratio",
@@ -467,27 +465,6 @@ class VMC3(_PoleLoop):
 # config names of the schemes
 SCHEMES = {"cmc": CMC, "pvmc": PVMC, "cfpvr": CFPVR, "rlp": RLP,
            "acmc": ACMC, "vmc3": VMC3}
-
-
-# ---------------------------------------------------------------------------
-# Power stage.
-
-
-def power_stage_vo(params: BuckParams) -> RationalTF:
-    """v_d-to-v_o transfer function (1 + s R_c C) over the LC denominator."""
-    C = params.require_C()
-    quad = (params.L / params.R + params.R_c * C, params.L * C / params.rho)
-    zeros = [1.0 / (params.R_c * C)] if params.R_c > 0.0 else []
-    return RationalTF(1.0, zeros=zeros, quad_poles=[quad])
-
-
-def power_stage_il(params: BuckParams) -> RationalTF:
-    """v_d-to-i_L transfer function; DC gain 1/R, high-frequency 1/(L s)."""
-    C = params.require_C()
-    quad = (params.L / params.R + params.R_c * C, params.L * C / params.rho)
-    return RationalTF(
-        1.0 / params.R, zeros=[params.rho / (params.R * C)], quad_poles=[quad]
-    )
 
 
 # ---------------------------------------------------------------------------

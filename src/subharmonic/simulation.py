@@ -450,7 +450,17 @@ def _classify(strobe: np.ndarray, duties: np.ndarray, window: int) -> str:
     return "other"
 
 
-def _auto_init(params: BuckParams, scheme: ControlScheme, n: int) -> np.ndarray:
+def _initial_state(params: BuckParams, scheme: ControlScheme, x_init,
+                   n: int) -> np.ndarray:
+    """The state vector x_init, checked, or for "auto" the averaged
+    operating point (inductor current and capacitor voltage)."""
+    if not isinstance(x_init, str):
+        x = np.asarray(x_init, dtype=float)
+        if x.shape != (n,):
+            raise DomainError(f"x_init must have dimension {n}")
+        return x
+    if x_init != "auto":
+        raise DomainError("x_init must be a state vector or 'auto'")
     try:
         D = duty_ratio(params, scheme)
     except (DomainError, NoConvergence):
@@ -488,14 +498,7 @@ def simulate(
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
     )
-    if isinstance(x_init, str):
-        if x_init != "auto":
-            raise DomainError("x_init must be a state vector or 'auto'")
-        x = _auto_init(params, scheme, eng.n)
-    else:
-        x = np.asarray(x_init, dtype=float)
-        if x.shape != (eng.n,):
-            raise DomainError(f"x_init must have dimension {eng.n}")
+    x = _initial_state(params, scheme, x_init, eng.n)
     if dense_cycles is None:
         dense_cycles = min(window, cycles)
     dense_from = cycles - dense_cycles if dense else cycles + 1
@@ -612,10 +615,7 @@ def steady_state(
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
     )
-    if isinstance(x_init, str):
-        x0 = _auto_init(params, scheme, eng.n)
-    else:
-        x0 = np.asarray(x_init, dtype=float).copy()
+    x0 = _initial_state(params, scheme, x_init, eng.n).copy()
 
     def settle(x, n):
         for _ in range(n):

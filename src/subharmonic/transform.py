@@ -25,7 +25,6 @@ from .errors import DomainError, NoConvergence, UnsupportedStructure
 from .tf import RationalTF
 
 __all__ = [
-    "DutyCycle",
     "NormalizedFreq",
     "TableCase",
     "alpha",
@@ -36,16 +35,6 @@ __all__ = [
     "f_transform_series",
     "f_transform_rational",
 ]
-
-
-class DutyCycle(float):
-    """Duty ratio constrained to [0, 1]."""
-
-    def __new__(cls, value):
-        v = float(value)
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise DomainError(f"duty cycle must lie in [0, 1], got {value!r}")
-        return super().__new__(cls, v)
 
 
 class NormalizedFreq(float):

@@ -1,6 +1,7 @@
 """Command-line front end, run end-to-end as a subprocess."""
 
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from subharmonic import simulate
+from subharmonic import ConfigError, cli, simulate
 from subharmonic.config import load_config
 
 from conftest import config_path
@@ -22,7 +23,6 @@ SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
-    env.pop("SUBHARMONIC_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
     if env_extra:
@@ -236,6 +236,31 @@ def test_stable_only_sweep_reports_no_crossings(tmp_path):
     assert "no -1 crossings" in r.stdout
 
 
+def test_crossing_refinement_failure_is_reported(tmp_path, capsys,
+                                                 monkeypatch):
+    # a failed bisection is recorded between two grid points, where no
+    # CSV row shows it
+    real = cli.pole_trajectory
+
+    def failed_refinement(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        return dataclasses.replace(traj, crossings=(), errors=(
+            (8.65, "crossing refinement failed: real eigenvalue lost"),))
+
+    monkeypatch.setattr(cli, "pole_trajectory", failed_refinement)
+    out = tmp_path / "p.csv"
+    code = cli.main(["poles", "--config", config_path("ex1_poles.cfg"),
+                     "--out", str(out)])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    m = re.search(r"^error at k_p = (\S+): crossing refinement failed: "
+                  r"real eigenvalue lost$", stdout, re.M)
+    assert m and float(m.group(1)) == 8.65
+    assert "no -1 crossings" not in stdout
+    _, rows = read_csv(out)
+    assert len(rows) == 11 and all(row[-1] == "" for row in rows)
+
+
 # ------------------------------------------------------------ config layer
 
 
@@ -309,18 +334,38 @@ def test_scheme_conditional_keys(tmp_path):
     assert "k_p" in r.stderr
 
 
+@pytest.mark.parametrize("flag,message", [
+    (("--cycles", "1"), "cycles must be at least 2"),
+    (("--terms", "-1"), "terms must be non-negative"),
+])
+def test_flag_range_rejection(tmp_path, capsys, flag, message):
+    out = tmp_path / "o.csv"
+    code = cli.main(["critical", "--config", config_path("ex1_critical.cfg"),
+                     "--out", str(out), *flag])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("duty", 1.5, "duty must lie strictly inside (0, 1)"),
+    ("cycles", 1, "cycles must be at least 2"),
+    ("terms", -1, "terms must be non-negative"),
+    ("divergence_bound", 0.0, "divergence_bound must be positive"),
+])
+def test_replaced_option_is_validated(field, value, message):
+    # a flag override goes through the same checks as a config key
+    cfg = load_config(config_path("ex1_critical.cfg"))
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(cfg, **{field: value})
+    assert str(exc.value) == message
+
+
 def test_no_root_exit_code(tmp_path):
     r = run_cli("critical", "--config", config_path("exit3_noroot.cfg"),
                 "--out", str(tmp_path / "o.csv"))
     assert r.returncode == 3
     assert "error" in r.stderr
-
-
-def test_bad_thread_env_rejected(tmp_path):
-    r = run_cli("critical", "--config", config_path("ex1_critical.cfg"),
-                "--out", str(tmp_path / "o.csv"),
-                env_extra={"SUBHARMONIC_THREADS": "many"})
-    assert r.returncode == 2
 
 
 def test_default_output_name(tmp_path):
@@ -338,17 +383,6 @@ def test_byte_identical_reruns(tmp_path):
     for out in (a, b):
         r = run_cli("lplot", "--config", config_path("ex2_lplot.cfg"),
                     "--out", str(out))
-        assert r.returncode == 0, r.stderr
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_worker_count_does_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out, threads in ((a, "1"), (b, "4")):
-        r = run_cli("lplot", "--config", config_path("ex2_lplot.cfg"),
-                    "--terms", "1500", "--sweep", "p:0.15:0.55:21",
-                    "--out", str(out),
-                    env_extra={"SUBHARMONIC_THREADS": threads})
         assert r.returncode == 0, r.stderr
     assert a.read_bytes() == b.read_bytes()
 
@@ -391,7 +425,6 @@ def test_commands_run_without_scipy(tmp_path):
         "        sys.exit(f'{args}: exit {code}')\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    env.pop("SUBHARMONIC_THREADS", None)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, timeout=300)
     assert r.returncode == 0, r.stderr

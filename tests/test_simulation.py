@@ -19,6 +19,7 @@ from subharmonic import (
     UnsupportedStructure,
     build_closed_loop,
     cycle_jacobian,
+    poles,
     ripple_check,
     rlp_steady_duty,
     simulate,
@@ -327,6 +328,13 @@ def test_ripple_prediction_matches_simulation(ex3):
     duty = float(np.mean(tr.duties[-8:]))
     predicted = ripple_check(params, duty)
     assert measured == pytest.approx(predicted, rel=5e-3)
+
+
+@pytest.mark.parametrize("x_init", ["bogus", [1.0, 2.0]])
+@pytest.mark.parametrize("run", [simulate, steady_state, poles])
+def test_bad_initial_state_rejected(ex1, rlp8, run, x_init):
+    with pytest.raises(DomainError, match="x_init"):
+        run(ex1, rlp8, x_init=x_init)
 
 
 def test_ripple_check_needs_plain_capacitor(ex3):

@@ -6,9 +6,11 @@ Each ``configs/*.cfg`` runs in-process through ``subharmonic.cli.main``
 with the command its name implies (``critical`` for ``*_critical`` and
 ``exit3_noroot``, ``simulate`` for ``*_sim*`` and ``exit4_divergence``,
 ``poles`` for ``*_poles``, ``lplot``, ``window``, ``contour``), writing
-its CSVs into OUT_DIR.  Stdout (with OUT_DIR masked) and stderr go next
-to them as ``<config>.stdout``/``.stderr``, exit codes to ``EXIT_CODES``,
-and the sha256 of every file to ``SHA256SUMS``.
+its CSVs into OUT_DIR; each ``*_lplot`` config runs a second time with
+``--terms 10000`` (the series route) as ``<config>_terms``.  Stdout (with
+OUT_DIR masked) and stderr go next to them as ``<config>.stdout``/
+``.stderr``, exit codes to ``EXIT_CODES``, and the sha256 of every file
+to ``SHA256SUMS``.
 
 The package is imported from the ``src`` directory of the checkout this
 file sits in, so a reference is made by running a copy of this file from
@@ -43,6 +45,16 @@ def command_for(name: str) -> str:
     raise SystemExit(f"no command known for config {name!r}")
 
 
+def runs():
+    """(output name, command, config file, extra flags) for every run."""
+    for cfg in sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")):
+        name = cfg[:-4]
+        cmd = command_for(name)
+        yield name, cmd, cfg, []
+        if cmd == "lplot":
+            yield f"{name}_terms", cmd, cfg, ["--terms", "10000"]
+
+
 def run_all(out_dir: str) -> None:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from subharmonic.cli import main
@@ -50,13 +62,12 @@ def run_all(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out_dir = os.path.abspath(out_dir)
     codes = []
-    for cfg in sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")):
-        name = cfg[:-4]
-        cmd = command_for(name)
+    for name, cmd, cfg, extra in runs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([cmd, "--config", os.path.join(CONFIG_DIR, cfg),
-                         "--out", os.path.join(out_dir, f"{name}.csv")])
+                         "--out", os.path.join(out_dir, f"{name}.csv"),
+                         *extra])
         for ext, buf in (("stdout", out), ("stderr", err)):
             with open(os.path.join(out_dir, f"{name}.{ext}"), "w") as fh:
                 fh.write(buf.getvalue().replace(out_dir, MASK))
