@@ -104,8 +104,8 @@ def _csv_str(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ").replace("\r", " ")
 
 
-def _resolve_duty(cfg: RunConfig) -> float:
-    return cfg.duty if cfg.duty is not None else duty_ratio(cfg.params, cfg.scheme)
+def _resolve_duty(duty: Optional[float], params, scheme) -> float:
+    return duty if duty is not None else duty_ratio(params, scheme)
 
 
 def _series_lvalue(params, scheme, D: float, terms: int) -> float:
@@ -129,7 +129,7 @@ def _default_out(cfg: RunConfig, command: str) -> str:
 
 
 def cmd_critical(cfg: RunConfig) -> int:
-    D = _resolve_duty(cfg)
+    D = _resolve_duty(cfg.duty, cfg.params, cfg.scheme)
     if cfg.terms > 0:
         lvalue = _series_lvalue(cfg.params, cfg.scheme, D, cfg.terms)
     else:
@@ -157,7 +157,10 @@ def cmd_lplot(cfg: RunConfig) -> int:
     grid = sweep.grid()
     if cfg.terms > 0:
         at = sweep_point(cfg.params, cfg.scheme, sweep.variable)
-        lvalues = np.array([_lvalue_series_at(cfg, at, v) for v in grid])
+        lvalues, errors = zip(*(_lvalue_series_at(cfg, at, v) for v in grid))
+        lvalues = np.array(lvalues)
+        if errors[0] is not None and not np.any(np.isfinite(lvalues)):
+            raise errors[0]
         # linear interpolation is enough for a summary on a dense grid
         crossings = grid_crossings(grid, lvalues)
     else:
@@ -184,14 +187,15 @@ def cmd_lplot(cfg: RunConfig) -> int:
     return 0
 
 
-def _lvalue_series_at(cfg: RunConfig, at, value: float) -> float:
+def _lvalue_series_at(cfg: RunConfig, at, value: float):
+    """(L, None) by the series at one sweep value, or (nan, error) where
+    the series is not defined there."""
     params, scheme, D, _ = at(float(value))
-    if D is None:
-        D = cfg.duty if cfg.duty is not None else duty_ratio(params, scheme)
+    D = _resolve_duty(cfg.duty if D is None else D, params, scheme)
     try:
-        return _series_lvalue(params, scheme, D, cfg.terms)
-    except _DOMAIN_ERRORS:
-        return float("nan")
+        return _series_lvalue(params, scheme, D, cfg.terms), None
+    except _DOMAIN_ERRORS as exc:
+        return float("nan"), exc
 
 
 def cmd_contour(cfg: RunConfig) -> int:
@@ -216,7 +220,7 @@ def cmd_window(cfg: RunConfig) -> int:
     if not hasattr(cfg.scheme, "gain"):
         raise ConfigError("window needs an acmc or vmc3 scheme")
     K = cfg.scheme.gain(cfg.params)
-    D = _resolve_duty(cfg)
+    D = _resolve_duty(cfg.duty, cfg.params, cfg.scheme)
     est_lo, est_hi = acmc_window_estimate(K, D)
     sweep_p = cfg.sweep_p or SweepSpec("p", 0.02, 0.98, 481)
     curve = lplot(cfg.params, cfg.scheme, "p", sweep_p.grid(), duty=D)

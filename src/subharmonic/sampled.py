@@ -5,7 +5,8 @@ period-1 fixed point, decides local stability exactly: all eigenvalues
 inside the unit disk means a stable period-1 orbit; a real eigenvalue
 leaving through -1 is the period-doubling threshold the closed-form
 conditions approximate.  Sweeps track the eigenvalues across a
-parameter grid and locate the -1 crossings by bisection.
+parameter grid and locate each -1 crossing as a root of det(I + J),
+which changes sign exactly where a real eigenvalue passes through -1.
 
 The Jacobian behind every eigenvalue is exact: the saltation-matrix
 derivative from ``CycleEngine.step_jacobian``.  The central-difference
@@ -21,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._roots import brentq
 from .errors import (
     DegenerateOrbit,
     Divergence,
@@ -108,10 +110,11 @@ def _orbit_jacobian(eng: CycleEngine, x: np.ndarray) -> np.ndarray:
     orbit it returned.
     """
     orbit_x, J = eng.orbit
-    if orbit_x is not x or J is None:
-        _, duty, J = eng.step_jacobian(x)
-        if J is None:
-            raise DegenerateOrbit(f"orbit duty {duty} is saturated")
+    if orbit_x is x:
+        return J
+    _, duty, J = eng.step_jacobian(x)
+    if J is None:
+        raise DegenerateOrbit(f"orbit duty {duty} is saturated")
     return J
 
 
@@ -210,11 +213,15 @@ def pole_trajectory(
 ) -> PoleTrajectory:
     """Track cycle-map eigenvalues along a parameter sweep.
 
-    Eigenvalues, of the exact Jacobian at every sweep point and every
-    bisection midpoint, are matched point to point for continuity; each
-    -1 crossing of a real eigenvalue is refined by bisection to a
-    relative tolerance of 1e-6 in the swept parameter.  Failures at
-    individual points are recorded and the sweep continues.
+    Each point solves its own period-1 orbit with ``steady_state`` and
+    takes the exact Jacobian J there, so its eigenvalues are those
+    ``poles`` gives at that value, whatever the sweep's order; they are
+    matched point to point for continuity.  A real eigenvalue crosses -1
+    exactly where det(I + J) changes sign, so each -1 crossing seen
+    between two grid points is refined by Brent's method on that smooth
+    scalar to a relative tolerance of 1e-10 in the swept parameter, and
+    its eigenvalue is taken once, at the root.  Failures at individual
+    points are recorded and the sweep continues.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -224,32 +231,25 @@ def pole_trajectory(
     at = sweep_point(params, scheme, variable)
     pole_sets: List[Optional[PoleSet]] = []
     errors: List[Tuple[float, str]] = []
-    warm = {}
 
-    def eigs_at(value, warm_key=None):
+    # the refinement starts from the bracketing grid points and reports
+    # the eigenvalue at a value it has already evaluated: both come from
+    # this cache, not from fresh orbit solves
+    @lru_cache(maxsize=None)
+    def jacobian_at(value):
         p, s, _, _ = at(value)
         eng = CycleEngine(build_closed_loop(p, s), grid)
-        x0 = warm.get(warm_key, "auto")
-        if x0 is None:
-            x0 = "auto"
-        cold = isinstance(x0, str)
-        try:
-            x, _ = steady_state(
-                p, s, x_init=x0, warmup=128 if cold else 8, engine=eng
-            )
-        except _FAILURES:
-            if not cold:
-                x, _ = steady_state(p, s, engine=eng)  # retry cold
-            else:
-                raise
-        if warm_key is not None:
-            warm[warm_key] = x.copy()
-        return np.linalg.eigvals(_orbit_jacobian(eng, x))
+        x, _ = steady_state(p, s, engine=eng)
+        return _orbit_jacobian(eng, x)
+
+    def det_i_plus_j(value):
+        J = jacobian_at(value)
+        return np.linalg.det(np.eye(len(J)) + J)
 
     prev: Optional[Tuple[complex, ...]] = None
     for v in values:
         try:
-            eigs = _canonical(eigs_at(v, warm_key="sweep"))
+            eigs = _canonical(np.linalg.eigvals(jacobian_at(v)))
         except _FAILURES as exc:
             errors.append((float(v), f"{type(exc).__name__}: {exc}"))
             pole_sets.append(None)
@@ -270,36 +270,17 @@ def pole_trajectory(
         if sa is None or sb is None or sa == 0.0 or sa * sb > 0.0:
             continue
         a, b = float(values[k]), float(values[k + 1])
-        warm["bisect"] = None
-        ga = sa
-        eig_mid = pole_sets[k + 1].most_negative_real()
         try:
-            while abs(b - a) > 1e-6 * max(abs(a), abs(b), 1e-300):
-                mid = 0.5 * (a + b)
-                eigs = _canonical(eigs_at(mid, warm_key="bisect"))
-                reals = [z.real for z in eigs
-                         if abs(z.imag) <= 1e-6 * (1.0 + abs(z))]
-                if not reals:
-                    raise NumericalFailure(
-                        "real eigenvalue lost while refining a -1 crossing"
-                    )
-                sm = min(reals) + 1.0
-                eig_mid = min(reals)
-                if sm == 0.0:
-                    a = b = mid
-                elif (sm > 0.0) == (ga > 0.0):
-                    a, ga = mid, sm
-                else:
-                    b = mid
+            root = brentq(det_i_plus_j, a, b, rtol=1e-10)
+            eigs = np.linalg.eigvals(jacobian_at(root))
         except _FAILURES as exc:
             errors.append(
                 (0.5 * (a + b), f"crossing refinement failed: {exc}")
             )
             continue
+        eig = min(eigs, key=lambda z: abs(z + 1.0))
         direction = "exit" if sa > 0.0 else "enter"
-        crossings.append(
-            CrossingEvent(0.5 * (a + b), complex(eig_mid), direction)
-        )
+        crossings.append(CrossingEvent(root, complex(eig), direction))
 
     return PoleTrajectory(
         variable=variable,

@@ -252,11 +252,11 @@ class CycleEngine:
         p = loop.params
         self.h_grid = p.V_l + p.V_m * np.arange(grid + 1) / grid
         self.h_slope_dt = p.V_m / grid
-        # bisection fallback tolerance in subinterval units: 1e-13 T
+        # root tolerance in subinterval units, 1e-13 T: the crossing's
+        # and the orbit duty's
         self.u_tol = max(1e-13 * self.T / self.dt, 4e-16)
         # (x, J): the last period-1 orbit steady_state solved on this
-        # engine and the exact Jacobian its final Newton evaluation left
-        # there (None when that evaluation grazed the ramp)
+        # engine and the exact cycle-map Jacobian there
         self.orbit = (None, None)
 
     def _crossing_in_cell(self, i: int, x_aug: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -484,7 +484,7 @@ def simulate(
     divergence_bound: float = 1e6,
     engine: Optional[CycleEngine] = None,
 ) -> SimTrace:
-    """Run the switched simulation and classify the settled behavior.
+    """Run the switched simulation and classify its long-run behavior.
 
     The classifier looks at the last `window` stroboscopic samples, so
     cycles must exceed the window by a margin covering the transient
@@ -589,93 +589,90 @@ def cycle_jacobian(
     return J
 
 
+def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
+    """(x, d) at every sign change of det M(d) over the grid; see steady_state."""
+    n, grid = eng.n, eng.grid
+    m = n + 1
+    lift = np.eye(n, m)
+
+    def close(cycle, y_on, h):
+        # the cycle propagator (one matrix or a stack) becomes M(d) in place
+        cycle[..., :n, :] -= lift
+        cycle[..., n, :] = y_on
+        cycle[..., n, n] -= h
+        return cycle
+
+    def M_at(i, u):
+        # M(d) for d at fraction u of cell i, through the partial-cell stacks
+        S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
+        S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
+        on = S_on @ eng.Phi_on[i - 1]
+        return close(eng.Phi_off[grid - i] @ S_off @ on, eng.y_aug @ on,
+                     eng.h_grid[i - 1] + eng.h_slope_dt * u)
+
+    dets = np.linalg.det(close(eng.Phi_off[::-1] @ eng.Phi_on, eng.yPhi_on,
+                               eng.h_grid))
+    found = []
+    for i in (np.nonzero((dets[:-1] > 0.0) != (dets[1:] > 0.0))[0] + 1).tolist():
+        u = brentq(lambda u: np.linalg.det(M_at(i, u)), 0.0, 1.0,
+                   xtol=eng.u_tol, rtol=8.9e-16)
+        z = np.linalg.svd(M_at(i, u))[2][-1]
+        found.append((z[:n] / z[n], (i - 1 + u) / grid))
+    return found
+
+
 def steady_state(
     params: BuckParams,
     scheme: ControlScheme,
     x_init="auto",
-    warmup: int = 128,
-    max_iter: int = 40,
     grid: int = 64,
     engine: Optional[CycleEngine] = None,
 ) -> Tuple[np.ndarray, float]:
-    """Period-1 fixed point of the cycle map and its interior duty.
+    """Period-1 switching orbit of the cycle map and its interior duty.
 
-    A damped Newton iteration solves P(x) = x, first straight from the
-    initial guess (which also reaches orbits that are unstable, where
-    settling would walk away), then after warm-up settling runs if that
-    fails.  Each iterate takes its residual and its exact Jacobian from
-    one ``step_jacobian`` call, so both share one crossing solve; only an
-    iterate whose cycle saturates (or grazes the ramp) falls back to the
-    finite-difference ``cycle_jacobian``.  The exact Jacobian at the
-    returned orbit is left on the engine as ``engine.orbit = (x, J)``.
-    Saturated-duty fixed points are rejected: the target is the switching
-    orbit, not the degenerate always-off/always-on fixed points.  Raises
-    NoConvergence when every attempt fails.
+    Both stages share A, so (x, d) is a switching orbit exactly when
+    M(d) [x; 1] = 0: the top n rows of M(d) are those of the cycle
+    propagator Phi_off((1-d)T) Phi_on(dT) less [I 0], and its last row is
+    y Phi_on(dT) less h(d) on the constant.  This one condition covers
+    loops with and without an integrator.  det M is scanned over the
+    engine's grid, each sign change is refined by brentq inside its cell
+    on the partial-cell Taylor stacks, as ``CycleEngine`` refines the
+    crossing itself, and x is the null vector of M at the root.
+
+    One exact Newton step with ``step_jacobian`` polishes x and a second
+    call confirms it: the residual is within 1e-12 (1 + max|x|), the
+    cycle switches at the root's duty (so the root is its first crossing)
+    and it neither saturates nor grazes the ramp.  Candidates that fail
+    are skipped; of those that pass, the one nearest x_init is returned.
+    The exact Jacobian there is left on the engine as
+    ``engine.orbit = (x, J)``.  Raises NoConvergence when no interior
+    switching orbit exists.
     """
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
     )
-    x0 = _initial_state(params, scheme, x_init, eng.n).copy()
-
-    def settle(x, n):
-        for _ in range(n):
-            x, _ = eng.step(x)
-            if not np.max(np.abs(x)) <= 1e9:
-                raise NoConvergence("state diverged while settling")
-        return x
-
-    def evaluate(x):
+    x0 = _initial_state(params, scheme, x_init, eng.n)
+    candidates = _orbit_duties(eng)
+    candidates.sort(key=lambda c: float(np.linalg.norm(c[0] - x0)))
+    for x, d in candidates:
         try:
-            return eng.step_jacobian(x)
-        except DegenerateOrbit:
-            fx, duty = eng.step(x)
-            return fx, duty, None
-
-    def newton(x):
-        fx, duty, J = evaluate(x)
-        for _ in range(max_iter):
-            r = fx - x
-            scale = 1.0 + float(np.max(np.abs(x)))
-            if float(np.max(np.abs(r))) <= 1e-12 * scale:
-                if not 0.0 < duty < 1.0:
-                    raise NoConvergence(
-                        "Newton landed on a saturated-duty fixed point"
-                    )
-                eng.orbit = (x, J)
-                return x, duty
+            fx, _, J = eng.step_jacobian(x)
             if J is None:
-                # a saturated cycle is affine with J = Phi(T); an integrating
-                # compensator puts an eigenvalue of exactly 1 in it and makes
-                # J - I singular, so such an iterate keeps the difference step
-                J = cycle_jacobian(eng, x)
-            try:
-                dx = np.linalg.solve(J - np.eye(eng.n), -r)
-            except np.linalg.LinAlgError:
-                raise NoConvergence("singular Jacobian in the orbit solve")
-            lam = 1.0
-            r0 = float(np.max(np.abs(r)))
-            for _ in range(16):
-                x_new = x + lam * dx
-                fx_new, duty_new, J_new = evaluate(x_new)
-                if (0.0 < duty_new < 1.0
-                        and float(np.max(np.abs(fx_new - x_new))) < r0):
-                    break
-                lam *= 0.5
-            else:
-                raise NoConvergence("Newton damping failed to reduce the residual")
-            x, fx, duty, J = x_new, fx_new, duty_new, J_new
-        raise NoConvergence("orbit Newton did not converge")
-
-    last: Optional[NoConvergence] = None
-    x = x0
-    for extra in (0, warmup, 2048):
-        try:
-            if extra:
-                x = settle(x, extra)
-            return newton(x)
-        except NoConvergence as exc:
-            last = exc
-    raise NoConvergence(f"period-1 orbit solve failed: {last}")
+                continue  # the cycle from x saturates
+            x = x + np.linalg.solve(J - np.eye(eng.n), x - fx)
+            fx, duty, J = eng.step_jacobian(x)
+        except DegenerateOrbit:
+            continue  # the cycle grazes the ramp
+        scale = 1.0 + float(np.max(np.abs(x)))
+        if (J is not None and abs(duty - d) <= 1e-9
+                and float(np.max(np.abs(fx - x))) <= 1e-12 * scale):
+            eng.orbit = (x, J)
+            return x, duty
+    raise NoConvergence(
+        "no interior period-1 switching orbit: "
+        + (f"the cycle rejects all {len(candidates)} candidate duties"
+           if candidates else "det M(d) keeps one sign over the duty grid")
+    )
 
 
 def ripple_check(params: BuckParams, D) -> float:

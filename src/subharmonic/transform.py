@@ -304,7 +304,7 @@ def _constant_part(T, omega_s: float) -> float:
     if abs(vals[-1] - vals[-2]) <= 1e-6 * (1.0 + abs(vals[-1])):
         return float(vals[-1].real)
     raise NoConvergence(
-        "evaluator neither decays nor settles at high frequency; "
+        "evaluator neither decays nor levels off at high frequency; "
         "cannot split off the constant part"
     )
 

@@ -238,14 +238,14 @@ def test_stable_only_sweep_reports_no_crossings(tmp_path):
 
 def test_crossing_refinement_failure_is_reported(tmp_path, capsys,
                                                  monkeypatch):
-    # a failed bisection is recorded between two grid points, where no
+    # a failed refinement is recorded between two grid points, where no
     # CSV row shows it
     real = cli.pole_trajectory
 
     def failed_refinement(*args, **kwargs):
         traj = real(*args, **kwargs)
         return dataclasses.replace(traj, crossings=(), errors=(
-            (8.65, "crossing refinement failed: real eigenvalue lost"),))
+            (8.65, "crossing refinement failed: brentq: f has one sign"),))
 
     monkeypatch.setattr(cli, "pole_trajectory", failed_refinement)
     out = tmp_path / "p.csv"
@@ -254,7 +254,7 @@ def test_crossing_refinement_failure_is_reported(tmp_path, capsys,
     assert code == 0
     stdout = capsys.readouterr().out
     m = re.search(r"^error at k_p = (\S+): crossing refinement failed: "
-                  r"real eigenvalue lost$", stdout, re.M)
+                  r"brentq: f has one sign$", stdout, re.M)
     assert m and float(m.group(1)) == 8.65
     assert "no -1 crossings" not in stdout
     _, rows = read_csv(out)
@@ -322,6 +322,18 @@ def test_series_pole_sweep_needs_a_compensator_pole(tmp_path, scheme):
                 "--sweep", "p:0.1:0.5:5", "--out", str(out))
     assert r.returncode == 3
     assert r.stderr.count("DomainError") == 1
+    assert not out.exists()
+
+
+def test_series_lplot_failing_at_every_point_exits_3(tmp_path, capsys):
+    # a flat ramp puts every point of the series route outside its domain
+    out = tmp_path / "l.csv"
+    code = cli.main(["lplot", "--config", config_path("cmc_lplot.cfg"),
+                     "--terms", "10000", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == ("error: DomainError: zero ramp amplitude: "
+                   "V_m must be positive here\n")
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from subharmonic import (
     simulate,
     steady_state,
 )
+from subharmonic.schemes import sweep_point
 
 
 def _sch2_at(sch2, ex2, ratio):
@@ -183,6 +184,17 @@ def test_exact_jacobian_matches_central_differences(name, ex1, ex2, sch2,
 
 
 @pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_orbit_does_not_depend_on_the_initial_guess(name, ex1, ex2, sch2,
+                                                    ex3, sch4_at):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    x, duty = steady_state(params, scheme)
+    far = x + 100.0 * (1.0 + np.abs(x))
+    x_far, duty_far = steady_state(params, scheme, x_init=far)
+    np.testing.assert_array_equal(x_far, x)
+    assert duty_far == duty
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
 def test_poles_rejects_saturated_orbit(name, ex1, ex2, sch2, ex3, sch4_at,
                                        monkeypatch):
     # steady_state never returns a saturated orbit, so hand poles one: the
@@ -249,6 +261,50 @@ def test_failed_points_are_recorded_not_fatal(ex1):
     assert traj.pole_sets[0] is None
     assert traj.pole_sets[1] is not None
     assert np.isnan(traj.tracks()[0, 0])
+
+
+def _pinned_sweep(which, ex1, ex2, sch2, ex3, sch4_at):
+    """(params, scheme, variable, grid) of the sweeps pinned above."""
+    if which == "gain":
+        return ex1, RLP(k_p=8.0), "k_p", np.linspace(8, 9, 11)
+    if which == "avg_current":
+        return ex2, sch2, "p", np.linspace(0.10, 0.90, 17)
+    return ex3, sch4_at(0.3), "p", np.linspace(0.10, 0.60, 26)
+
+
+PINNED = ["gain", "avg_current", "type3"]
+
+
+@pytest.mark.parametrize("which", PINNED)
+def test_sweep_points_do_not_depend_on_history(which, ex1, ex2, sch2, ex3,
+                                               sch4_at):
+    # every point, in either sweep direction, has the eigenvalues poles()
+    # gives at that value alone, to the bit
+    params, scheme, variable, grid = _pinned_sweep(which, ex1, ex2, sch2,
+                                                   ex3, sch4_at)
+    forward = pole_trajectory(params, scheme, variable, grid)
+    backward = pole_trajectory(params, scheme, variable, grid[::-1])
+    at = sweep_point(params, scheme, variable)
+
+    def as_set(ps):
+        return sorted(ps.eigenvalues, key=lambda z: (z.real, z.imag))
+
+    for k, v in enumerate(grid):
+        p, s, _, _ = at(v)
+        alone = as_set(poles(p, s))
+        assert as_set(forward.pole_sets[k]) == alone
+        assert as_set(backward.pole_sets[-1 - k]) == alone
+
+
+@pytest.mark.parametrize("which", PINNED)
+def test_crossing_eigenvalue_sits_at_minus_one(which, ex1, ex2, sch2, ex3,
+                                               sch4_at):
+    params, scheme, variable, grid = _pinned_sweep(which, ex1, ex2, sch2,
+                                                   ex3, sch4_at)
+    traj = pole_trajectory(params, scheme, variable, grid)
+    assert len(traj.crossings) == (1 if which == "gain" else 2)
+    for c in traj.crossings:
+        assert abs(c.eigenvalue + 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("nudge", [-1e-15, 0.0, 1e-15, 3e-15])

@@ -16,13 +16,16 @@ The package is imported from the ``src`` directory of the checkout this
 file sits in, so a reference is made by running a copy of this file from
 the other checkout.  ``--against OTHER_DIR`` then prints, per file,
 "identical" or, for a CSV that differs, the largest
-|delta| / (1 + max|column|) over its numeric columns.
+|delta| / (1 + max|column|) over its numeric columns, and for any other
+file that differs its removed ("-") and added ("+") lines; the exit code
+is 1 when any file differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import math
@@ -120,8 +123,21 @@ def csv_distance(new: str, old: str) -> str:
     return f"max |delta|/(1+max|col|) = {worst:.3g} (column {where})"
 
 
-def compare(out_dir: str, other: str) -> None:
+def line_changes(new: str, old: str) -> str:
+    """The removed and added lines of a text file, one per line."""
+    with open(old) as fh:
+        a = fh.read().splitlines()
+    with open(new) as fh:
+        b = fh.read().splitlines()
+    diff = difflib.unified_diff(a, b, n=0, lineterm="")
+    return "\n".join(f"  {line}" for line in diff
+                     if not line.startswith(("---", "+++", "@@")))
+
+
+def compare(out_dir: str, other: str) -> int:
+    """Print a verdict per file; returns the number of files that differ."""
     new, old = _read_sums(out_dir), _read_sums(other)
+    differing = 0
     for f in sorted(set(new) | set(old)):
         if f not in new or f not in old:
             verdict = "only in " + (out_dir if f in new else other)
@@ -131,8 +147,11 @@ def compare(out_dir: str, other: str) -> None:
             verdict = csv_distance(os.path.join(out_dir, f),
                                    os.path.join(other, f))
         else:
-            verdict = "differs"
+            verdict = "differs\n" + line_changes(os.path.join(out_dir, f),
+                                                 os.path.join(other, f))
+        differing += verdict != "identical"
         print(f"{f}: {verdict}")
+    return differing
 
 
 def main(argv=None) -> int:
@@ -142,8 +161,8 @@ def main(argv=None) -> int:
                     help="compare with an earlier run's directory")
     args = ap.parse_args(argv)
     run_all(args.out_dir)
-    if args.against:
-        compare(args.out_dir, args.against)
+    if args.against and compare(args.out_dir, args.against):
+        return 1
     return 0
 
 
