@@ -70,28 +70,33 @@ _BLOCK_ROWS = 256
 
 
 def _float_rows(*columns):
-    """Rows of ``_fmt`` text from float columns (1-D arrays or 2-D blocks).
+    """CSV lines of ``_fmt`` values from float columns (1-D arrays or 2-D
+    blocks), each formatted by one call.
 
     The columns share one row count.  Rows are converted to Python floats
     ``_BLOCK_ROWS`` at a time, so a large table's floats and strings never
     exist all at once.
     """
-    fmt = "{:.17g}".format
+    width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
+    fmt = (",".join(["{:.17g}"] * width) + "\n").format
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
         for row in block.tolist():
-            yield tuple(map(fmt, row))
+            yield fmt(*row)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
-    """Atomic CSV write: header + rows, comma separated, LF endings."""
+def _line(cells: Sequence[str]) -> str:
+    return ",".join(cells) + "\n"
+
+
+def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]):
+    """Atomic CSV write: the header, then lines that end in LF."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".subharmonic_", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            fh.write(_line(header))
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -146,8 +151,8 @@ def cmd_critical(cfg: RunConfig) -> int:
     _write_csv(
         out,
         ("lvalue", "duty", "stable", "solve_for", "critical_value"),
-        [(_fmt(lvalue), _fmt(D), "1" if lvalue < 1.0 else "0",
-          _csv_str(cfg.solve_for or ""), _fmt(value))],
+        [_line((_fmt(lvalue), _fmt(D), "1" if lvalue < 1.0 else "0",
+                _csv_str(cfg.solve_for or ""), _fmt(value)))],
     )
     return 0
 
@@ -169,11 +174,7 @@ def cmd_lplot(cfg: RunConfig) -> int:
         lvalues = curve.lvalues
         crossings = curve.crossings
     out = _default_out(cfg, "lplot")
-    _write_csv(
-        out,
-        (sweep.variable, "lvalue"),
-        ((_fmt(v), _fmt(l)) for v, l in zip(grid, lvalues)),
-    )
+    _write_csv(out, (sweep.variable, "lvalue"), _float_rows(grid, lvalues))
     finite = np.isfinite(lvalues)
     print(f"lplot: {len(grid)} points over {sweep.variable}, wrote {out}")
     if np.any(finite):
@@ -231,7 +232,7 @@ def cmd_window(cfg: RunConfig) -> int:
     _write_csv(
         out,
         ("K", "D", "est_lo", "est_hi", "closed_lo", "closed_hi"),
-        [tuple(_fmt(x) for x in (K, D, est_lo, est_hi, closed_lo, closed_hi))],
+        [_line([_fmt(x) for x in (K, D, est_lo, est_hi, closed_lo, closed_hi)])],
     )
     print(f"window: wrote {out}")
     print(f"K = {_fmt(K)}, duty = {_fmt(D)}")
@@ -252,8 +253,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         header = ("cycle", "duty") + labels
 
         duties = np.concatenate(([np.nan], trace.duties))
-        _write_csv(out, header, ((str(n),) + cells for n, cells in
-                                 enumerate(_float_rows(duties, trace.strobe))))
+        # a whole number's .17g text is its decimal digits, as str(n) gives
+        cycle = np.arange(len(duties), dtype=float)
+        _write_csv(out, header, _float_rows(cycle, duties, trace.strobe))
 
     try:
         trace = simulate(
@@ -310,7 +312,7 @@ def cmd_poles(cfg: RunConfig) -> int:
                 for z in ps.eigenvalues:
                     row += [_fmt(z.real), _fmt(z.imag)]
                 row.append("")
-            yield row
+            yield _line(row)
 
     _write_csv(out, header, rows())
     print(f"poles: {len(grid)} points over {sweep.variable}, wrote {out}")

@@ -23,7 +23,7 @@ import numpy as np
 from ._roots import bisect, brentq
 from .errors import DomainError, MissingParameter, NoRoot
 from .tf import RationalTF
-from .transform import alpha, alpha0, alpha1
+from .transform import _check_duty, _maybe_scalar, alpha, alpha0, alpha1
 
 __all__ = [
     "BuckParams",
@@ -193,7 +193,8 @@ class ControlScheme:
     - ``loop_gain_hf(params)``: its high-frequency loop gain T(s)
     - ``nominal_duty(params)``: the steady-state duty its references imply
     - ``lvalue(params, D)``: the closed-form L at duty D (schemes with a
-      compensator pole omega_p also take the pole ratio p)
+      compensator pole omega_p also take the pole ratio p); D and p may be
+      arrays, and a scalar D and p give a float
     - ``critical(params, solve_for, D)``: the critical v_s, k_p, m_a or D
       at a pinned duty D
     - ``wiring(params)``: the closed loop the simulator assembles
@@ -235,8 +236,9 @@ class CMC(ControlScheme):
         # with zero ramp amplitude the boundary D = 1/2 is reported through
         # the renormalized L = 2D, which crosses 1 exactly where the
         # ramp-slope condition becomes violated
+        D = _check_duty(D)
         if params.V_m == 0.0:
-            return 2.0 * D
+            return _maybe_scalar(2.0 * D)
         return critical_cmc(params, D) * params.T / params.V_m
 
     def critical(self, params, solve_for, D):
@@ -281,6 +283,7 @@ class PVMC(ControlScheme):
 
     def lvalue(self, params, D):
         """L = (v_s k_p rho T^2 / 4 V_m L C) [(2 R_c C/T)(2D-1) + (2D^2-2D+1)]."""
+        D = _check_duty(D)
         C = params.require_C()
         V_m = _require_vm(params)
         lead = (params.v_s * self.k_p * params.rho * params.T**2
@@ -288,7 +291,7 @@ class PVMC(ControlScheme):
         bracket = (2.0 * params.R_c * C / params.T) * (2.0 * D - 1.0) + (
             2.0 * D * D - 2.0 * D + 1.0
         )
-        return lead * bracket
+        return _maybe_scalar(lead * bracket)
 
     def critical(self, params, solve_for, D):
         if solve_for == "m_a":
@@ -341,7 +344,7 @@ class RLP(ControlScheme):
         """L = v_s k_p p alpha(D, p) / V_m with p = R / (L omega_s)."""
         V_m = _require_vm(params)
         p = params.R / (params.L * params.omega_s)
-        return params.v_s * self.k_p * p * alpha(float(D), p) / V_m
+        return params.v_s * self.k_p * p * alpha(D, p) / V_m
 
     def critical(self, params, solve_for, D):
         if solve_for == "k_p":
@@ -498,14 +501,14 @@ def closed_form_lvalue(
     params: BuckParams,
     scheme: ControlScheme,
     D,
-    p_override: Optional[float] = None,
-) -> float:
+    p_override=None,
+):
     """Scheme's stability number L at duty D.
 
     p_override replaces the normalized compensator pole; a scheme without
-    one (no omega_p) raises DomainError.
+    one (no omega_p) raises DomainError.  D, and p_override, may be arrays
+    (broadcast against each other); scalars give a float.
     """
-    D = float(D)
     if p_override is None:
         return scheme.lvalue(params, D)
     if not hasattr(scheme, "omega_p"):
@@ -523,11 +526,8 @@ def critical_cmc(params: BuckParams, D) -> float:
     The loop is free of subharmonic oscillation iff m_a exceeds this;
     negative values (D < 1/2) mean no ramp is needed.
     """
-    D = np.asarray(D, dtype=float)
-    if np.any(D < 0.0) or np.any(D > 1.0):
-        raise DomainError("duty cycle must lie in [0, 1]")
-    out = (params.v_s / params.L) * (D - 0.5)
-    return float(out) if out.ndim == 0 else out
+    D = _check_duty(D)
+    return _maybe_scalar((params.v_s / params.L) * (D - 0.5))
 
 
 def critical_pvmc(params: BuckParams, k_p: float, D) -> CriticalResult:
@@ -846,20 +846,19 @@ def grid_crossings(grid, lvalues, refine=None) -> list:
     are skipped.
     """
     resid = np.asarray(lvalues, dtype=float) - 1.0
+    a, b = resid[:-1], resid[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        hit = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | (a * b < 0.0))
     out = []
-    for i in range(len(grid) - 1):
-        a, b = resid[i], resid[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
+    for i in np.flatnonzero(hit).tolist():
+        if a[i] == 0.0:
             out.append(float(grid[i]))
-        elif a * b < 0.0:
-            if refine is None:
-                t = a / (a - b)
-                out.append(float(grid[i] + t * (grid[i + 1] - grid[i])))
-            else:
-                lo, hi = sorted((grid[i], grid[i + 1]))
-                out.append(float(refine(lo, hi)))
+        elif refine is None:
+            t = a[i] / (a[i] - b[i])
+            out.append(float(grid[i] + t * (grid[i + 1] - grid[i])))
+        else:
+            lo, hi = sorted((grid[i], grid[i + 1]))
+            out.append(float(refine(lo, hi)))
     if len(grid) and np.isfinite(resid[-1]) and resid[-1] == 0.0:
         out.append(float(grid[-1]))
     return out
@@ -878,17 +877,32 @@ def lplot(
     adjacent grid points are refined by bisection on the underlying closed
     form to a relative tolerance of 1e-9.  ``duty`` pins the duty cycle
     for sweeps that would otherwise re-derive it per point.
+
+    A sweep over D, or over p on a scheme whose nominal duty does not move
+    with omega_p, evaluates the whole grid in one array call of
+    ``scheme.lvalue``; other variables rebuild the operating point at each
+    grid value.
     """
     at = sweep_point(params, scheme, variable)
     g = _grid(grid)
+    one_call = True
+    if variable == "D":
+        lvalue = lambda x: scheme.lvalue(params, x)
+    elif variable == "p" and "omega_p" not in scheme.duty_depends_on:
+        # what replacing omega_p with p * omega_s would reject
+        if np.any(g <= 0.0):
+            raise DomainError("omega_p must be positive")
+        D = duty if duty is not None else duty_ratio(params, scheme)
+        lvalue = lambda x: scheme.lvalue(params, D, x)
+    else:
+        one_call = False
 
-    def lvalue(x):
-        pr, sch, D, p = at(x)
-        if D is None:
+        def lvalue(x):
+            pr, sch, _, p = at(x)
             D = duty if duty is not None else duty_ratio(pr, sch)
-        return closed_form_lvalue(pr, sch, D, p)
+            return closed_form_lvalue(pr, sch, D, p)
 
-    lv = np.array([lvalue(x) for x in g])
+    lv = lvalue(g) if one_call else np.array([lvalue(x) for x in g])
     crossings = grid_crossings(
         g, lv, lambda lo, hi: bisect(lambda x: lvalue(x) - 1.0, lo, hi, rtol=1e-9)
     )

@@ -49,14 +49,17 @@ class NormalizedFreq(float):
 
 def _check_duty(D):
     D = np.asarray(D, dtype=float)
-    if not np.all(np.isfinite(D)) or np.any(D < 0.0) or np.any(D > 1.0):
+    # every comparison with NaN is false, so the range test rejects it too
+    if not (0.0 <= float(D) <= 1.0 if D.ndim == 0
+            else np.all((D >= 0.0) & (D <= 1.0))):
         raise DomainError("duty cycle must be finite and within [0, 1]")
     return D
 
 
 def _check_p(p):
     p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+    if not (0.0 <= float(p) < math.inf if p.ndim == 0
+            else np.all((p >= 0.0) & (p < math.inf))):
         raise DomainError("normalized frequency must be finite and >= 0")
     return p
 
@@ -79,29 +82,36 @@ _P_SMALL = 1e-2
 _TAYLOR_ORDER = 7
 
 
-def _alpha_series_coeff(k: int, D: np.ndarray) -> np.ndarray:
+def _alpha_series_coeff(k: int):
     """Coefficient of p**k in the expansion of alpha(D, p) about p = 0.
 
     Derived from alpha = (1/p)[2pi p csch(2pi p)] - (1/p) e^{beta p} [pi p csch(pi p)]
     with beta = pi(1 - 2D), using the even series of x csch x.  Exact
-    rational/pi arithmetic, no fitting involved.
+    rational/pi arithmetic, no fitting involved.  Returned as a constant
+    and the terms (c, m, m!) of constant - sum c beta**m / m!.
     """
-    beta = np.pi * (1.0 - 2.0 * D)
-    out = np.zeros_like(beta)
-    if k % 2 == 1:
-        n = (k + 1) // 2
-        if n < len(_CSCH_EVEN):
-            out = out + _CSCH_EVEN[n] * (2.0 * np.pi) ** (k + 1)
+    const = _CSCH_EVEN[(k + 1) // 2] * (2.0 * np.pi) ** (k + 1) if k % 2 else 0.0
+    terms = []
     for n in range(0, min(len(_CSCH_EVEN) - 1, (k + 1) // 2) + 1):
         m = k + 1 - 2 * n
-        out = out - _CSCH_EVEN[n] * np.pi ** (2 * n) * beta**m / math.factorial(m)
-    return out
+        terms.append((_CSCH_EVEN[n] * np.pi ** (2 * n), m, math.factorial(m)))
+    return const, tuple(terms)
+
+
+_SERIES = tuple(_alpha_series_coeff(k) for k in range(_TAYLOR_ORDER + 1))
 
 
 def _alpha_taylor(D, p, k_start=0):
-    total = np.zeros(np.broadcast(D, p).shape)
+    # D and p are arrays, 0-d for one point, so ** runs numpy's loop for
+    # one point as for many (a numpy scalar's ** is the C library pow)
+    beta = np.asarray(np.pi * (1.0 - 2.0 * D))
+    beta_pow = [beta**m for m in range(_TAYLOR_ORDER + 2)]
+    total = 0.0
     for k in range(k_start, _TAYLOR_ORDER + 1):
-        total = total + _alpha_series_coeff(k, D) * p**k
+        coeff, terms = _SERIES[k]
+        for c, m, fact in terms:
+            coeff = coeff - c * beta_pow[m] / fact
+        total = total + coeff * p**k
     return total
 
 
@@ -115,6 +125,33 @@ def _alpha_direct(D, p):
     return first - second
 
 
+def _correction_direct(D, p):
+    return (_alpha_direct(D, p) - np.pi * (2.0 * D - 1.0)
+            + np.pi**2 * (2.0 * D * D - 2.0 * D + 1.0) * p)
+
+
+def _kernel(direct, D, p, k_start):
+    """direct(D, p) where p >= _P_SMALL and the Taylor sum from order
+    k_start below, over the broadcast of the checked D and p.
+
+    A single point runs the same elementwise operations as an array, on
+    scalars, and gives the same bits.
+    """
+    D, p = _check_duty(D), _check_p(p)
+    if D.ndim == p.ndim == 0:
+        if float(p) < _P_SMALL:
+            return float(_alpha_taylor(D, p, k_start))
+        return float(direct(float(D), float(p)))
+    D, p = np.broadcast_arrays(D, p)
+    small = p < _P_SMALL
+    out = np.empty(p.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out[~small] = direct(D[~small], p[~small])
+    if small.any():
+        out[small] = _alpha_taylor(D[small], p[small], k_start)
+    return out
+
+
 def alpha(D, p):
     """Kernel alpha(D, p) = 2pi csch(2pi p) - pi e^{pi p(1-2D)} csch(pi p).
 
@@ -122,13 +159,7 @@ def alpha(D, p):
     singularity is handled by an exact Taylor expansion below p = 1e-2.
     Broadcasts over array inputs.
     """
-    D = _check_duty(D)
-    p = _check_p(p)
-    small = p < _P_SMALL
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = _alpha_direct(D, p)
-    out = np.where(small, _alpha_taylor(D, p), direct)
-    return _maybe_scalar(out)
+    return _kernel(_alpha_direct, D, p, 0)
 
 
 def alpha0(D):
@@ -151,17 +182,7 @@ def correction_c(D, p):
     Taylor tail below p = 1e-2, where ``alpha`` switches too, to avoid
     cancellation.
     """
-    D = _check_duty(D)
-    p = _check_p(p)
-    small = p < _P_SMALL
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = (
-            _alpha_direct(D, p)
-            - np.pi * (2.0 * D - 1.0)
-            + np.pi**2 * (2.0 * D * D - 2.0 * D + 1.0) * p
-        )
-    out = np.where(small, _alpha_taylor(D, p, k_start=2), direct)
-    return _maybe_scalar(out)
+    return _kernel(_correction_direct, D, p, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from subharmonic import (
     v2_no_ramp_threshold,
     vmc3_gain,
 )
+from subharmonic.schemes import grid_crossings
 from subharmonic.transform import alpha, alpha0, f_transform_series
 
 
@@ -360,6 +361,114 @@ POLELESS = [CMC(), PVMC(k_p=2.0), CFPVR(k_p=1.0), RLP(k_p=8.0)]
 def test_pole_sweep_needs_a_compensator_pole(scheme, variable, ex2):
     with pytest.raises(DomainError, match="omega_p"):
         lplot(ex2, scheme, variable, np.linspace(0.1, 0.9, 9))
+
+
+def test_pole_ratio_sweep_rejects_a_nonpositive_ratio(ex2, sch2):
+    for grid in ([0.0, 0.5], [-0.2, 0.5], [0.5, 0.2, -0.1]):
+        with pytest.raises(DomainError, match="omega_p must be positive"):
+            lplot(ex2, sch2, "p", grid)
+
+
+# pole ratios either side of the Taylor switch at p = 1e-2, and on it
+P_STRADDLE = np.unique(np.concatenate([np.geomspace(1e-4, 2.0, 61), [1e-2]]))
+D_FULL = np.linspace(0.0, 1.0, 201)
+
+
+@pytest.fixture
+def closed_form_cases(ex1, ex2, sch2, ex3, sch3, cmc_zero_ramp):
+    """(params, scheme) for all six schemes, the flat-ramp CMC, and the
+    pole schemes again with a pole ratio inside the Taylor branch."""
+    return [
+        (ex2, CMC()), (cmc_zero_ramp, CMC()), (ex2, PVMC(k_p=15.0)),
+        (ex2, CFPVR(k_p=12.0)), (ex1, RLP(k_p=8.0)), (ex2, sch2), (ex3, sch3),
+        (ex2, dataclasses.replace(sch2, omega_p=4e-4 * ex2.omega_s)),
+        (ex3, dataclasses.replace(sch3, omega_p=1e-2 * ex3.omega_s)),
+    ]
+
+
+def test_lplot_over_duty_equals_a_point_loop(closed_form_cases):
+    for params, scheme in closed_form_cases:
+        curve = lplot(params, scheme, "D", D_FULL)
+        loop = [closed_form_lvalue(params, scheme, float(d)) for d in D_FULL]
+        assert np.array_equal(curve.lvalues, loop), scheme
+
+
+@pytest.mark.parametrize("duty", [None, 0.2])
+def test_lplot_over_pole_ratio_equals_a_point_loop(duty, ex2, sch2, ex3, sch3):
+    for params, scheme in ((ex2, sch2), (ex3, sch3)):
+        for grid in (P_STRADDLE, P_STRADDLE[::-1]):
+            curve = lplot(params, scheme, "p", grid, duty=duty)
+            D = duty if duty is not None else duty_ratio(params, scheme)
+            loop = [closed_form_lvalue(params, scheme, D, float(x)) for x in grid]
+            assert np.array_equal(curve.lvalues, loop), scheme
+
+
+def test_contour_equals_a_point_loop():
+    D = np.linspace(0.0, 1.0, 41)
+    p = np.unique(np.concatenate([[0.0, 1e-2], np.geomspace(1e-4, 3.0, 40)]))
+    loop = [[alpha0(float(d)) - alpha(float(d), float(x)) for x in p] for d in D]
+    assert np.array_equal(contour_data(D, p), loop)
+
+
+BAD_DUTIES = [-0.5, 1.5, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("as_type", [float, np.float64, np.asarray],
+                         ids=["float", "float64", "0-d"])
+def test_every_scheme_rejects_a_bad_duty(as_type, closed_form_cases):
+    for params, scheme in closed_form_cases:
+        for bad in BAD_DUTIES:
+            with pytest.raises(DomainError, match="duty cycle must be finite"):
+                closed_form_lvalue(params, scheme, as_type(bad))
+            with pytest.raises(DomainError, match="duty cycle must be finite"):
+                scheme.lvalue(params, as_type(bad))
+        with pytest.raises(DomainError, match="duty cycle must be finite"):
+            lplot(params, scheme, "D", [0.5, 1.5])
+
+
+def test_closed_forms_give_floats_for_scalars(closed_form_cases, ex2, sch2):
+    for params, scheme in closed_form_cases:
+        for D in (0.3, np.float64(0.3), np.asarray(0.3)):
+            assert type(closed_form_lvalue(params, scheme, D)) is float
+            assert type(scheme.lvalue(params, D)) is float
+    assert type(closed_form_lvalue(ex2, sch2, 0.3, np.asarray(0.2))) is float
+
+
+def _crossings_by_loop(grid, lvalues, refine=None):
+    """The pairwise scan grid_crossings does with array operations."""
+    resid = np.asarray(lvalues, dtype=float) - 1.0
+    out = []
+    for i in range(len(grid) - 1):
+        a, b = resid[i], resid[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            continue
+        if a == 0.0:
+            out.append(float(grid[i]))
+        elif a * b < 0.0:
+            if refine is None:
+                t = a / (a - b)
+                out.append(float(grid[i] + t * (grid[i + 1] - grid[i])))
+            else:
+                lo, hi = sorted((grid[i], grid[i + 1]))
+                out.append(float(refine(lo, hi)))
+    if len(grid) and np.isfinite(resid[-1]) and resid[-1] == 0.0:
+        out.append(float(grid[-1]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_crossings_match_the_pairwise_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    grid = np.sort(rng.uniform(-3.0, 3.0, n))[:: 1 if seed % 2 else -1]
+    lv = 1.0 + rng.normal(size=n)
+    pick = rng.uniform(size=n)
+    lv[pick < 0.15] = 1.0
+    lv[(pick > 0.85) & (pick < 0.9)] = np.nan
+    lv[pick > 0.95] = np.inf
+    for refine in (None, lambda lo, hi: 0.25 * lo + 0.75 * hi):
+        assert grid_crossings(grid, lv, refine) == \
+            _crossings_by_loop(grid, lv, refine)
 
 
 def test_pole_sweep_in_ratio_or_frequency_agrees(ex2, sch2):

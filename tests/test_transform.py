@@ -192,6 +192,48 @@ def test_alpha_vectorizes():
     assert out[7] == pytest.approx(scalar, rel=1e-15)
 
 
+@pytest.mark.parametrize("kernel", [alpha, correction_c])
+def test_array_call_gives_the_bits_of_scalar_calls(kernel):
+    # both branches and the switch between them, p = 1e-2 included
+    p = np.sort(np.append(np.linspace(0.0, 3.0, 5001), 1e-2))
+    for D in (0.0, 0.3, 0.5, 0.77, 1.0):
+        loop = [kernel(D, float(x)) for x in p]
+        assert np.array_equal(kernel(D, p), loop)
+    D = np.linspace(0.0, 1.0, 999)
+    for pv in (0.0, 1e-4, 5e-3, 1e-2, 0.3, 2.9):
+        loop = [kernel(float(x), pv) for x in D]
+        assert np.array_equal(kernel(D, pv), loop)
+    # a 2-D broadcast, as the contour surface takes it
+    Dg, pg = D[::50, None], p[None, ::250]
+    loop = [[kernel(float(d), float(x)) for x in pg[0]] for d in Dg[:, 0]]
+    assert np.array_equal(kernel(Dg, pg), loop)
+
+
+SCALAR_TYPES = [float, np.float64, np.asarray]
+
+
+@pytest.mark.parametrize("as_type", SCALAR_TYPES, ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("bad_D", [-0.5, 1.5, np.nan, np.inf, -np.inf])
+def test_kernels_reject_a_bad_duty_of_any_scalar_type(as_type, bad_D):
+    D = as_type(bad_D)
+    for call in (lambda: alpha(D, 0.3), lambda: alpha(D, 1e-3),
+                 lambda: correction_c(D, 0.3), lambda: alpha0(D),
+                 lambda: alpha1(D)):
+        with pytest.raises(DomainError, match="duty cycle"):
+            call()
+
+
+@pytest.mark.parametrize("as_type", SCALAR_TYPES, ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("bad_p", [-1e-3, -2.0, np.nan, np.inf])
+def test_kernels_reject_a_bad_pole_ratio_of_any_scalar_type(as_type, bad_p):
+    p = as_type(bad_p)
+    for kernel in (alpha, correction_c):
+        with pytest.raises(DomainError, match="normalized frequency"):
+            kernel(0.4, p)
+        with pytest.raises(DomainError, match="normalized frequency"):
+            kernel(0.4, np.array([0.2, float(p)]))
+
+
 # ------------------------------------------------- catalog internal algebra
 
 
