@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import tempfile
@@ -42,7 +43,7 @@ from .schemes import (
     solve_critical,
     sweep_point,
 )
-from .simulation import build_closed_loop, simulate
+from .simulation import CycleEngine, build_closed_loop, simulate
 from .transform import f_transform_series
 
 __all__ = ["main"]
@@ -264,6 +265,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             cycles=cycles,
             dense=True,
             divergence_bound=cfg.divergence_bound,
+            engine=CycleEngine(loop),
         )
     except Divergence as exc:
         if exc.trace is not None:
@@ -336,7 +338,9 @@ def cmd_poles(cfg: RunConfig) -> int:
 # Entry point.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="subharmonic",
         description="Subharmonic-oscillation analysis for PWM DC-DC converters",

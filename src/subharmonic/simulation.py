@@ -283,24 +283,6 @@ class CycleEngine:
         u = brentq(g, 0.0, 1.0, xtol=self.u_tol, rtol=8.9e-16)
         return u, x_base
 
-    def _switch(self, x_aug: np.ndarray):
-        """Locate the commutation of the cycle that starts at x_aug.
-
-        Returns (duty, i, u, x_base): the switch turns off at fraction u
-        of cell i, and x_base = x(t_{i-1}).  A saturated cycle gives
-        i = None with duty 0.0 (the switch never turns on) or 1.0 (it
-        never turns off).
-        """
-        g = self.yPhi_on @ x_aug - self.h_grid
-        if g[0] <= 0.0:
-            return 0.0, None, None, None
-        below = np.nonzero(g <= 0.0)[0]
-        if below.size == 0:
-            return 1.0, None, None, None
-        i = int(below[0])
-        u, x_base = self._crossing_in_cell(i, x_aug)
-        return (i - 1 + u) / self.grid, i, u, x_base
-
     def _cycle(self, x: np.ndarray):
         """Run the cycle that starts at x once.
 
@@ -311,12 +293,21 @@ class CycleEngine:
         the augmented state at the switching instant, x_cell the one at
         the end of the cell, and Phi_end propagates from t* to T.
         """
-        x_aug = np.append(x, 1.0)
-        duty, i, u, x_base = self._switch(x_aug)
-        if i is None:
+        m = self.n + 1
+        x_aug = np.empty(m)
+        x_aug[:-1] = x
+        x_aug[-1] = 1.0
+        # the switch turns off in the first cell whose end has y <= h
+        below = self.yPhi_on @ x_aug - self.h_grid <= 0.0
+        i = int(below.argmax())
+        if i == 0:
+            # saturated: y <= h at t = 0, so the switch never turns on,
+            # or y > h over the whole grid, so it never turns off
+            duty = 0.0 if below[0] else 1.0
             out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
             return out[:-1] / out[-1], duty, x_aug, None
-        m = self.n + 1
+        u, x_base = self._crossing_in_cell(i, x_aug)
+        duty = (i - 1 + u) / self.grid
         S_on = (u ** self._k_on @ self._P_on_rows).reshape(m, m)
         S_off = ((1.0 - u) ** self._k_off @ self._P_off_rows).reshape(m, m)
         x_star = S_on @ x_base
@@ -488,55 +479,80 @@ def simulate(
 
     The classifier looks at the last `window` stroboscopic samples, so
     cycles must exceed the window by a margin covering the transient
-    (the default 576 = 512 transient + 64 window).  Divergence carries
-    the partial trace in its ``trace`` attribute.
+    (the default 576 = 512 transient + 64 window).  With dense=True the
+    last `dense_cycles` cycles (default: the window) are also sampled at
+    grid resolution; a value above `cycles` densifies the whole run.
+    Divergence carries the partial trace in its ``trace`` attribute.
+
+    A cycle is a pure function of the bits of its starting state, so
+    once the strobe re-enters an earlier state bit for bit, the rest of
+    it repeats with that period: those rows and duties are copied, and
+    only the dense tail is stepped again.
     """
     if window < 4:
         raise DomainError("window must be at least 4")
     if cycles < window + 1:
         raise DomainError("cycles must exceed the classification window")
+    if dense_cycles is not None and dense_cycles < 0:
+        raise DomainError("dense_cycles must be non-negative")
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
     )
     x = _initial_state(params, scheme, x_init, eng.n)
     if dense_cycles is None:
-        dense_cycles = min(window, cycles)
-    dense_from = cycles - dense_cycles if dense else cycles + 1
+        dense_cycles = window
+    # cycles [0, dense_from) take plain steps, the rest dense ones
+    dense_from = cycles - min(dense_cycles, cycles) if dense else cycles
 
     strobe = np.empty((cycles + 1, eng.n))
     duties = np.empty(cycles)
     strobe[0] = x
+    # the cycle index of each plain-stepped state, keyed by its bytes
+    seen = {x.tobytes(): 0}
     dts: List[np.ndarray] = []
     dxs: List[np.ndarray] = []
     dys: List[np.ndarray] = []
     dvds: List[np.ndarray] = []
-    for nidx in range(cycles):
-        if dense and nidx >= dense_from:
+    k = 0
+    while k < cycles:
+        if k >= dense_from:
             x, duty, xs, ys, vds = eng.step_dense(x)
-            t0 = nidx * eng.T
-            dts.append(t0 + np.arange(eng.grid) * eng.dt)
+            dts.append(k * eng.T + np.arange(eng.grid) * eng.dt)
             dxs.append(xs)
             dys.append(ys)
             dvds.append(vds)
         else:
             x, duty = eng.step(x)
-        strobe[nidx + 1] = x
-        duties[nidx] = duty
+        strobe[k + 1] = x
+        duties[k] = duty
+        k += 1
         # one reduction: NaN and inf fail the comparison as well
-        if not np.max(np.abs(x)) <= divergence_bound:
+        if not np.abs(x).max() <= divergence_bound:
             partial = SimTrace(
-                strobe[: nidx + 2].copy(),
-                duties[: nidx + 1].copy(),
+                strobe[: k + 1].copy(),
+                duties[:k].copy(),
                 "diverged",
                 eng.loop.labels,
                 window,
             )
             err = Divergence(
                 f"state magnitude exceeded {divergence_bound:g} "
-                f"at cycle {nidx + 1}",
+                f"at cycle {k}",
                 trace=partial,
             )
             raise err
+        if k < dense_from:
+            j = seen.setdefault(x.tobytes(), k)
+            if j < k:
+                # x_k is x_j: states from j on repeat with period k - j,
+                # so copy them up to the dense tail's starting state
+                period = k - j
+                strobe[k + 1:dense_from + 1] = strobe[
+                    j + np.arange(k + 1 - j, dense_from + 1 - j) % period]
+                duties[k:dense_from] = duties[
+                    j + np.arange(k - j, dense_from - j) % period]
+                k = dense_from
+                x = strobe[k]
     dense_trace = None
     if dense and dts:
         p = eng.loop.params

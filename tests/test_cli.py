@@ -399,6 +399,22 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_in_process_reruns_share_one_parser(tmp_path, capsys):
+    # main reuses the process's parser: a second run of one config must
+    # write the same bytes and print the same report as the first
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--config", config_path("ex1_sim_kp9.cfg"),
+            "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        runs.append((out.read_bytes(),
+                     (tmp_path / "s_dense.csv").read_bytes(),
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][2].rstrip().endswith("period-2")
+
+
 def test_reals_round_trip_through_csv(tmp_path):
     out = tmp_path / "l.csv"
     run_cli("lplot", "--config", config_path("ex4_lplot.cfg"),

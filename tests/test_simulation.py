@@ -147,10 +147,11 @@ def _assert_crossing_bits(eng, states):
     # the engine's Python-float evaluation must give brentq the same u
     crossings = 0
     for x in states:
-        x_aug = np.append(x, 1.0)
-        _, i, u, _ = eng._switch(x_aug)
-        if i is None:
+        _, _, x_aug, cell = eng._cycle(x)
+        if cell is None:
             continue
+        i = cell[0]
+        u, _ = eng._crossing_in_cell(i, x_aug)
         coeffs = eng.yP_on @ (eng.Phi_on[i - 1] @ x_aug)
         h0 = eng.h_grid[i - 1]
 
@@ -267,6 +268,80 @@ def test_divergence_on_non_finite_state(ex1, rlp8, monkeypatch, bad):
     assert tr.strobe.shape[0] == 7 and len(tr.duties) == 6
     assert np.all(np.isfinite(tr.strobe[:6]))
     np.testing.assert_array_equal(tr.strobe[6], bad)
+
+
+def _plain_step_loop(eng, x, cycles):
+    # the reference: every cycle stepped, none copied
+    strobe, duties = [x], []
+    for _ in range(cycles):
+        x, duty = eng.step(x)
+        strobe.append(x)
+        duties.append(duty)
+    return np.array(strobe), np.array(duties)
+
+
+@pytest.mark.parametrize("name,repeats", [
+    ("ex1_sim_kp9", True),
+    ("ex2_sim_081", True),
+    ("ex3_sim", True),
+    ("ex4_sim_024", False),
+])
+def test_copied_strobe_equals_a_plain_step_loop(name, repeats):
+    # the strobe re-enters an earlier state bit for bit on the first three
+    # configs, and the copy from there on must be what stepping gives
+    cfg = load_config(config_path(f"{name}.cfg"))
+    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True,
+                  engine=eng)
+    strobe, duties = _plain_step_loop(eng, tr.strobe[0], cfg.cycles)
+    assert np.array_equal(tr.strobe, strobe)
+    assert np.array_equal(tr.duties, duties)
+    assert (len({row.tobytes() for row in strobe}) < len(strobe)) == repeats
+    xs = np.vstack([eng.step_dense(x)[2] for x in strobe[-65:-1]])
+    assert np.array_equal(tr.dense.x, xs)
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(CycleEngine, name)
+
+        def counted(self, x, method=method, name=name):
+            calls[name] += 1
+            return method(self, x)
+
+        monkeypatch.setattr(CycleEngine, name, counted)
+    return calls
+
+
+def test_repeat_skips_the_remaining_steps(monkeypatch):
+    cfg = load_config(config_path("ex1_sim_kp9.cfg"))
+    calls = _count_calls(monkeypatch, "step")
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles)
+    assert tr.classification == "period-2"
+    assert calls["step"] < cfg.cycles // 4
+
+
+@pytest.mark.parametrize("dense_cycles", [0, 8, 64, 5000])
+def test_dense_tail_is_stepped_in_full(monkeypatch, dense_cycles):
+    # a repeat copies plain cycles only: every dense cycle is stepped,
+    # and dense_cycles above cycles densifies the whole run
+    cfg = load_config(config_path("ex1_sim_kp9.cfg"))
+    calls = _count_calls(monkeypatch, "step", "step_dense")
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True,
+                  dense_cycles=dense_cycles)
+    n_dense = min(dense_cycles, cfg.cycles)
+    assert calls["step_dense"] == n_dense
+    assert calls["step"] < cfg.cycles - n_dense or calls["step"] == 0
+    if n_dense:
+        assert tr.dense.x.shape[0] == n_dense * 64
+    else:
+        assert tr.dense is None
+
+
+def test_negative_dense_cycles_rejected(ex1, rlp8):
+    with pytest.raises(DomainError, match="dense_cycles"):
+        simulate(ex1, rlp8, cycles=128, dense=True, dense_cycles=-5)
 
 
 def test_dense_trace_structure(ex3, sch4_at):
