@@ -131,19 +131,34 @@ class RationalTF:
     def __call__(self, s):
         """Evaluate T at complex frequency ``s`` (scalar or array)."""
         s = np.asarray(s, dtype=complex)
-        num = np.full(s.shape, self.scale, dtype=complex)
-        for w in self.zeros:
-            num = num * (1.0 + s / w)
-        for b1, b2 in self.quad_zeros:
-            num = num * (1.0 + b1 * s + b2 * s * s)
-        den = np.ones(s.shape, dtype=complex)
-        for w in self.poles:
-            den = den * (1.0 + s / w)
-        for b1, b2 in self.quad_poles:
-            den = den * (1.0 + b1 * s + b2 * s * s)
-        if self.integrators:
-            den = den * s**self.integrators
+        if not self.den_order:  # a static gain; no zeros either
+            return np.full(s.shape, self.scale, dtype=complex)[()]
+        # numpy divides by a real w as by w + 0j, which multiplies by 1/w,
+        # so s * (1/w) has the bits of s / w at a fifth of the cost.  The
+        # products run left to right, num from scale and den from its
+        # first factor, so T keeps the bits of the plain product form
+        # scale * prod(num factors) / (prod(den factors) * s**m).
+        num = self.scale
+        for f in self._factors(s, self.zeros, self.quad_zeros):
+            num = num * f
+        den = None
+        for f in self._factors(s, self.poles, self.quad_poles):
+            den = f if den is None else den * f
+        m = self.integrators
+        if m:
+            # s has the bits of s**1 for free; s[()] is a numpy scalar for
+            # 0-d s, as s**1 is, so a scalar's product runs numpy's scalar
+            # arithmetic, which rounds some products unlike the array loop
+            s_m = s[()] if m == 1 else s**m
+            den = s_m if den is None else den * s_m
         return num / den
+
+    @staticmethod
+    def _factors(s, corners, quads):
+        for w in corners:
+            yield 1.0 + s * (1.0 / w)
+        for b1, b2 in quads:
+            yield 1.0 + b1 * s + b2 * s * s
 
     # ---- composition ---------------------------------------------------
 

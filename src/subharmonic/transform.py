@@ -269,9 +269,11 @@ def _smooth_window(x: np.ndarray) -> np.ndarray:
 
 
 # The oracle is called over and over with one (D, K), e.g. a catalog
-# check sweeping p at fixed D: the phase factors and the taper weights
-# depend on nothing else, so small caches keep them (read-only; a phase
-# entry is 240 KB at K = 1e4).
+# check sweeping p at fixed D, and with one (omega_s, K): the phase
+# factors, the taper weights and the harmonic grids depend on nothing
+# else, so small caches keep them (read-only; at K = 1e4 a phase entry is
+# 240 KB and a grid entry, two real arrays, 160 KB, so the three grid
+# entries hold at most 480 KB).
 
 
 @lru_cache(maxsize=16)
@@ -285,12 +287,23 @@ def _taper(n: int):
 
 @lru_cache(maxsize=8)
 def _phase(D: float, K: int):
-    """k = 1..K and the factors 1 - e^{j 2 pi D k}."""
+    """The factors 1 - e^{j 2 pi D k} for k = 1..K."""
     k = np.arange(1, K + 1, dtype=float)
     one_minus = 1.0 - np.exp(2j * np.pi * D * k)
-    k.setflags(write=False)
     one_minus.setflags(write=False)
-    return k, one_minus
+    return one_minus
+
+
+@lru_cache(maxsize=3)
+def _grid(omega_s: float, K: int):
+    """k omega_s and (k - 1/2) omega_s for k = 1..K, the imaginary parts of
+    the full- and half-harmonic points; 1j times an entry has the bits of
+    1j * k * omega_s (or of 1j * (k - 0.5) * omega_s)."""
+    k = np.arange(1, K + 1, dtype=float)
+    full, half = k * omega_s, (k - 0.5) * omega_s
+    full.setflags(write=False)
+    half.setflags(write=False)
+    return full, half
 
 
 def _windowed_sum(terms: np.ndarray, n: int) -> float:
@@ -299,14 +312,15 @@ def _windowed_sum(terms: np.ndarray, n: int) -> float:
 
 
 def _raw_terms(evalT, D: float, omega_s: float, K: int) -> np.ndarray:
-    k, one_minus = _phase(D, K)
+    one_minus = _phase(D, K)
+    w_full, w_half = _grid(omega_s, K)
     terms = np.empty(K)
     # 4096 terms at a time: whole-K complex temporaries (160 KB at K = 1e4)
     # make the allocator map and fault in fresh pages on every call
     for lo in range(0, K, 4096):
         part = slice(lo, lo + 4096)
-        full = evalT(1j * k[part] * omega_s)
-        half = evalT(1j * (k[part] - 0.5) * omega_s)
+        full = evalT(1j * w_full[part])
+        half = evalT(1j * w_half[part])
         terms[part] = 2.0 * (one_minus[part] * full - half).real
     return terms
 
@@ -340,6 +354,14 @@ def f_transform_series(T, D, omega_s: float, K: int = 10_000):
     with a smoothly tapered window; Richardson extrapolation over the
     last two halvings of K removes the residual 1/K and 1/K^2 terms of
     the monotone tails, leaving errors well below 1e-6 at K = 10^4.
+
+    Accuracy envelope at the default K = 10^4, against the partial-fraction
+    route: with real corners at or below 5 omega_s and 0.1 <= D <= 0.9 the
+    relative error stays within 1e-7 (5.3e-9 worst over 600 random shapes
+    of up to three poles, two zeros and one integrator).  Corners far above
+    omega_s at small duty need more terms: poles (11.81, 12.36, 13.50)
+    omega_s, zeros (4.56, 2.56) omega_s and D = 0.0583 miss by 6.1e-7 at
+    K = 10^4 and by 2.9e-11 at K = 10^5.
     """
     if K < 1:
         raise DomainError("K must be >= 1")
@@ -349,7 +371,7 @@ def f_transform_series(T, D, omega_s: float, K: int = 10_000):
 
     t_inf = _constant_part(T, omega_s)
     if isinstance(T, RationalTF):
-        evalT = lambda s: T(s) - t_inf
+        evalT = T if t_inf == 0.0 else lambda s: T(s) - t_inf
     elif t_inf != 0.0:
         evalT = lambda s: np.asarray(T(s), dtype=complex) - t_inf
     else:

@@ -72,3 +72,94 @@ def test_immutability():
     T = RationalTF(1.0, poles=[3.0])
     with pytest.raises(Exception):
         T.scale = 2.0
+
+
+# ---- evaluation keeps the bits of the plain product form -------------
+
+
+def _reference_eval(T, s):
+    # the plain expression: full and ones to start, s / w, s**m
+    s = np.asarray(s, dtype=complex)
+    num = np.full(s.shape, T.scale, dtype=complex)
+    for w in T.zeros:
+        num = num * (1.0 + s / w)
+    for b1, b2 in T.quad_zeros:
+        num = num * (1.0 + b1 * s + b2 * s * s)
+    den = np.ones(s.shape, dtype=complex)
+    for w in T.poles:
+        den = den * (1.0 + s / w)
+    for b1, b2 in T.quad_poles:
+        den = den * (1.0 + b1 * s + b2 * s * s)
+    if T.integrators:
+        den = den * s**T.integrators
+    return num / den
+
+
+def _bits(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(float)
+
+
+_CORNERS = [0.37, 2.9, 13.0]
+_QUADS = [(0.31, 0.047), (0.012, 0.0009)]
+
+
+def _shapes():
+    yield RationalTF(-2.5)  # a static gain
+    for nz in range(4):
+        for np_ in range(4):
+            for m in range(4):
+                if nz > np_ + m:
+                    continue
+                yield RationalTF(1.7, zeros=_CORNERS[:nz], poles=_CORNERS[:np_][::-1],
+                                 integrators=m)
+    for m in range(4):
+        yield RationalTF(-0.8, zeros=[5.0], poles=[0.9], integrators=m,
+                         quad_zeros=_QUADS[:1], quad_poles=_QUADS)
+        yield RationalTF(3.0, quad_poles=_QUADS[1:], integrators=m)
+        yield RationalTF(1e3, quad_zeros=_QUADS[1:], quad_poles=_QUADS[:1],
+                         poles=[40.0], integrators=m)
+
+
+def _points():
+    rng = np.random.default_rng(7)
+    w = np.exp(rng.uniform(np.log(1e-4), np.log(1e5), 3000))
+    on_axis = 1j * np.concatenate([w, -w[:50]])
+    off_axis = (rng.normal(size=3000) * np.exp(rng.uniform(-8.0, 10.0, 3000))
+                + 1j * rng.normal(size=3000) * np.exp(rng.uniform(-8.0, 10.0, 3000)))
+    return on_axis, off_axis
+
+
+@pytest.mark.parametrize("T", list(_shapes()), ids=repr)
+def test_evaluation_has_the_bits_of_the_product_form(T):
+    for s in _points():
+        got, want = T(s), _reference_eval(T, s)
+        assert got.dtype == want.dtype and got.shape == s.shape
+        assert np.array_equal(_bits(got), _bits(want))
+    # a scalar runs numpy's scalar arithmetic, which rounds some complex
+    # products differently from the array loops: it must match there too
+    for s in np.concatenate([p[::150] for p in _points()]).tolist():
+        got, want = T(s), _reference_eval(T, s)
+        assert type(got) is np.complex128
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("T", [t for t in _shapes() if t.integrators], ids=repr)
+def test_evaluation_at_the_origin_puts_inf_and_nan_where_the_product_form_does(T):
+    s = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 1j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, want = T(s), _reference_eval(T, s)
+        scalar = T(0.0)
+        assert type(scalar) is np.complex128
+        assert np.array_equal(_bits(scalar), _bits(_reference_eval(T, 0.0)),
+                              equal_nan=True)
+    assert not np.isfinite(got[:3]).any()
+    assert np.array_equal(np.isnan(_bits(got)), np.isnan(_bits(want)))
+    assert np.array_equal(_bits(got), _bits(want), equal_nan=True)
+
+
+def test_static_gain_evaluates_to_its_scale_at_any_shape():
+    T = RationalTF(-2.5)
+    assert type(T(0.3j)) is np.complex128 and T(0.3j) == -2.5
+    out = T(np.zeros((2, 3), dtype=complex))
+    assert out.shape == (2, 3) and out.dtype == complex
+    assert np.all(out == -2.5)

@@ -18,7 +18,7 @@ from subharmonic import (
     f_transform_rational,
     f_transform_series,
 )
-from subharmonic.transform import _raw_terms
+from subharmonic.transform import _grid, _phase, _raw_terms
 
 WS = 2.0 * np.pi
 D_GRID = np.arange(0.05, 0.951, 0.05)
@@ -365,6 +365,41 @@ def test_blocked_series_terms_match_one_whole_evaluation(K):
     whole = 2.0 * ((1.0 - np.exp(2j * np.pi * D * k)) * T(1j * k * WS)
                    - T(1j * (k - 0.5) * WS)).real
     np.testing.assert_array_equal(_raw_terms(T, D, WS, K), whole)
+
+
+def _whole_terms(T, D, omega_s, K):
+    k = np.arange(1, K + 1, dtype=float)
+    return 2.0 * ((1.0 - np.exp(2j * np.pi * D * k)) * T(1j * k * omega_s)
+                  - T(1j * (k - 0.5) * omega_s)).real
+
+
+def test_cached_grids_and_phases_are_read_only():
+    for arr in (*_grid(WS, 5000), _phase(0.37, 5000)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_alternating_switching_rates_give_the_terms_of_a_fresh_evaluation():
+    # the harmonic grids are cached per (omega_s, K); switching back and
+    # forth must never hand one rate's grid to the other
+    T = RationalTF(2.0, zeros=[0.3 * WS], poles=[0.8 * WS, 2.5 * WS],
+                   integrators=1)
+    D, K = 0.37, 9_000
+    for omega_s in (WS, 3.3 * WS, WS, 3.3 * WS, 2e5 * WS, WS):
+        np.testing.assert_array_equal(_raw_terms(T, D, omega_s, K),
+                                      _whole_terms(T, D, omega_s, K))
+
+
+def test_series_at_more_terms_outside_its_default_envelope():
+    # real poles near 12 omega_s at small duty lie outside the envelope
+    # the default K = 1e4 holds to 1e-7 (6.1e-7 here); K = 1e5 recovers it
+    T = RationalTF(1.0, zeros=[4.56 * WS, 2.56 * WS],
+                   poles=[11.81 * WS, 12.36 * WS, 13.50 * WS])
+    D = 0.0583
+    exact = f_transform_rational(T, D, WS)
+    ser = f_transform_series(T, D, WS, K=100_000)
+    assert abs(ser - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 def test_series_maps_unity_to_minus_one():

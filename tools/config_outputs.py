@@ -6,11 +6,11 @@ Each ``configs/*.cfg`` runs in-process through ``subharmonic.cli.main``
 with the command its name implies (``critical`` for ``*_critical`` and
 ``exit3_noroot``, ``simulate`` for ``*_sim*`` and ``exit4_divergence``,
 ``poles`` for ``*_poles``, ``lplot``, ``window``, ``contour``), writing
-its CSVs into OUT_DIR; each ``*_lplot`` config runs a second time with
-``--terms 10000`` (the series route) as ``<config>_terms``.  Stdout (with
-OUT_DIR masked) and stderr go next to them as ``<config>.stdout``/
-``.stderr``, exit codes to ``EXIT_CODES``, and the sha256 of every file
-to ``SHA256SUMS``.
+its CSVs into OUT_DIR; each ``*_lplot`` and ``*_critical`` config runs a
+second time with ``--terms 10000`` (the series route) as
+``<config>_terms``.  Stdout (with OUT_DIR masked) and stderr go next to
+them as ``<config>.stdout``/``.stderr``, exit codes to ``EXIT_CODES``,
+and the sha256 of every file to ``SHA256SUMS``.
 
 The package is imported from the ``src`` directory of the checkout this
 file sits in, so a reference is made by running a copy of this file from
@@ -54,7 +54,7 @@ def runs():
         name = cfg[:-4]
         cmd = command_for(name)
         yield name, cmd, cfg, []
-        if cmd == "lplot":
+        if name.endswith(("_lplot", "_critical")):
             yield f"{name}_terms", cmd, cfg, ["--terms", "10000"]
 
 
