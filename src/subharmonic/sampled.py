@@ -33,6 +33,7 @@ from .errors import (
 )
 from .schemes import BuckParams, ControlScheme, sweep_point
 from .simulation import CycleEngine, build_closed_loop, cycle_jacobian, steady_state
+from .simulation import _propagator_stacks
 
 __all__ = [
     "PoleSet",
@@ -220,8 +221,9 @@ def pole_trajectory(
     exactly where det(I + J) changes sign, so each -1 crossing seen
     between two grid points is refined by Brent's method on that smooth
     scalar to a relative tolerance of 1e-10 in the swept parameter, and
-    its eigenvalue is taken once, at the root.  Failures at individual
-    points are recorded and the sweep continues.
+    its eigenvalue is taken once, at the root.  The grid points' engines
+    come from one batched build, each the bits its point builds alone.
+    Failures at individual points are recorded and the sweep continues.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -232,14 +234,26 @@ def pole_trajectory(
     pole_sets: List[Optional[PoleSet]] = []
     errors: List[Tuple[float, str]] = []
 
+    # no swept variable changes the loop's dimension; a point whose loop or
+    # stages fail is left out of the batch and fails alone in jacobian_at
+    loops = {}
+    for v in values:
+        try:
+            loops[v] = build_closed_loop(*at(v)[:2])
+        except _FAILURES:
+            pass
+    engines = {v: CycleEngine(lp, grid, _stacks=st) for (v, lp), st in zip(
+        loops.items(), _propagator_stacks(list(loops.values()), grid)) if st}
+
     # the refinement starts from the bracketing grid points and reports
     # the eigenvalue at a value it has already evaluated: both come from
     # this cache, not from fresh orbit solves
     @lru_cache(maxsize=None)
     def jacobian_at(value):
-        p, s, _, _ = at(value)
-        eng = CycleEngine(build_closed_loop(p, s), grid)
-        x, _ = steady_state(p, s, engine=eng)
+        eng = engines.get(value)
+        if eng is None:
+            eng = CycleEngine(build_closed_loop(*at(value)[:2]), grid)
+        x, _ = steady_state(eng.loop.params, eng.loop.scheme, engine=eng)
         return _orbit_jacobian(eng, x)
 
     def det_i_plus_j(value):

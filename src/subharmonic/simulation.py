@@ -175,27 +175,62 @@ def build_closed_loop(params: BuckParams, scheme: ControlScheme) -> ClosedLoop:
 # Exact cycle stepping.
 
 
-def _taylor_terms(M: np.ndarray) -> np.ndarray:
-    """Stack of M^j / j! with the tail below 1e-22; M must be pre-scaled."""
-    theta = np.linalg.norm(M, 1)
-    if theta > 8.0:
-        raise NumericalFailure(
-            "stage dynamics too stiff for the per-interval series; "
-            "increase the sampling grid"
-        )
-    terms = [np.eye(M.shape[0])]
-    bound = 1.0
-    for j in range(1, 61):
-        terms.append(terms[-1] @ M / j)
-        bound *= theta / j
-        if bound < 1e-22 and j >= 4:
-            break
-    return np.array(terms)
+def _taylor_terms(Ms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacks of M^j / j! for pre-scaled stage matrices Ms, in one chain.
+
+    Each M = [[A dt, b dt], [0, 0]] has M^j = [[A^j, A^{j-1} b], [0, 0]] dt^j,
+    so term j is at most θ_M θ_A^{j-1} / j! in 1-norm, with θ_M = ‖M‖₁ and
+    θ_A = ‖A dt‖₁; stack i stops at the first j >= 4 where that bound is
+    below 1e-22.  Returns (terms, lengths), stack i being terms[i, :lengths[i]].
+    """
+    n = Ms.shape[-1] - 1
+    theta_A = np.linalg.norm(Ms[:, :n, :n], 1, axis=(1, 2))
+    bound = np.cumprod(np.column_stack((np.linalg.norm(Ms, 1, axis=(1, 2)),
+                                        theta_A[:, None] / np.arange(2, 61))),
+                       axis=1)
+    stop = (bound < 1e-22) & (np.arange(1, 61) >= 4)
+    stop[:, -1] = True
+    lengths = stop.argmax(axis=1) + 2
+    terms = np.empty((len(Ms), lengths.max(initial=1), n + 1, n + 1))
+    terms[:, 0] = np.eye(n + 1)
+    for j in range(1, terms.shape[1]):
+        terms[:, j] = terms[:, j - 1] @ Ms / j
+    # each stage sums only its own terms, whichever batch it was built in
+    terms[np.arange(terms.shape[1]) >= lengths[:, None]] = 0.0
+    return terms, lengths
 
 
 def expm(terms: np.ndarray) -> np.ndarray:
-    """e^M as the sum of the stack of M^j / j! that ``_taylor_terms`` built."""
-    return terms.sum(axis=0)
+    """e^M as the sum of a stack of M^j / j! that ``_taylor_terms`` built."""
+    return terms.sum(axis=-3)
+
+
+def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
+    """Both stages' Taylor stacks and Phi grids for loops of one dimension.
+
+    One Taylor chain serves every stage, and one batched product per grid
+    step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi),
+    views of shared arrays, or None if a stage has ‖M dt‖₁ > 8 (or for
+    grid < 4, which ``CycleEngine`` rejects).
+    """
+    if grid < 4:
+        return [None] * len(loops)
+    m = loops[0].dim + 1 if loops else 1
+    Ms = np.zeros((len(loops), 2, m, m))
+    for M, loop in zip(Ms, loops):
+        M[:, :-1, :-1] = loop.A
+        M[:, :-1, -1] = loop.b_on, loop.b_off
+        M *= loop.params.T / grid
+    stiff = (np.linalg.norm(Ms, 1, axis=(2, 3)) > 8.0).any(axis=1)
+    terms, lengths = _taylor_terms(Ms[~stiff].reshape(-1, m, m))
+    E = expm(terms).reshape(-1, 2, m, m)
+    Phi = np.empty((len(E), 2, grid + 1, m, m))
+    Phi[:, :, 0] = np.eye(m)
+    for j in range(grid):
+        np.matmul(E, Phi[:, :, j], out=Phi[:, :, j + 1])
+    rows = [t[:k].reshape(-1, m * m) for t, k in zip(terms, lengths.tolist())]
+    built = zip(rows[::2], rows[1::2], Phi)
+    return [None if s else next(built) for s in stiff.tolist()]
 
 
 class CycleEngine:
@@ -211,11 +246,19 @@ class CycleEngine:
     that one propagation, so they return bit-identical (x(T), duty).
     The crossing polynomial is evaluated on Python floats, not numpy
     scalars: the same IEEE operations at a fifth of the cost per call.
+    The stacks come from ``_propagator_stacks``, for this loop alone or
+    (via _stacks) from one batch built for a sweep: the same bits.
     """
 
-    def __init__(self, loop: ClosedLoop, grid: int = 64):
+    def __init__(self, loop: ClosedLoop, grid: int = 64, *, _stacks=None):
         if grid < 4:
             raise DomainError("grid must be at least 4")
+        stacks = _stacks or _propagator_stacks([loop], grid)[0]
+        if stacks is None:
+            raise NumericalFailure(
+                "stage dynamics too stiff for the per-interval series; "
+                "increase the sampling grid"
+            )
         self.loop = loop
         self.grid = grid
         self.T = loop.params.T
@@ -223,26 +266,12 @@ class CycleEngine:
         n = loop.dim
         self.n = n
         m = n + 1
-        M_on = np.zeros((m, m))
-        M_on[:n, :n] = loop.A
-        M_on[:n, n] = loop.b_on
-        M_off = M_on.copy()
-        M_off[:n, n] = loop.b_off
-
         # each stage's Taylor stack, flattened into rows so the propagator
         # over any fraction u of a cell is the one product u**k @ rows,
         # with the exponents k built here once
-        self._P_on_rows = _taylor_terms(M_on * self.dt).reshape(-1, m * m)
-        self._P_off_rows = _taylor_terms(M_off * self.dt).reshape(-1, m * m)
+        self._P_on_rows, self._P_off_rows, Phi = stacks
         self._k_on = np.arange(len(self._P_on_rows))
         self._k_off = np.arange(len(self._P_off_rows))
-        # both stages' grids as one stack, stepped by one batched product
-        E = np.stack([expm(rows).reshape(m, m)
-                      for rows in (self._P_on_rows, self._P_off_rows)])
-        Phi = np.empty((2, grid + 1, m, m))
-        Phi[:, 0] = np.eye(m)
-        for j in range(grid):
-            Phi[:, j + 1] = E @ Phi[:, j]
         self.Phi_on, self.Phi_off = Phi
 
         self.y_aug = np.append(loop.y_row, loop.y_const)

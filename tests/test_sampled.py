@@ -22,7 +22,10 @@ from subharmonic import (
     simulate,
     steady_state,
 )
+from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
+
+from conftest import config_path
 
 
 def _sch2_at(sch2, ex2, ratio):
@@ -263,6 +266,40 @@ def test_failed_points_are_recorded_not_fatal(ex1):
     assert np.isnan(traj.tracks()[0, 0])
 
 
+def _as_set(ps):
+    return sorted(ps.eigenvalues, key=lambda z: (z.real, z.imag))
+
+
+def test_failed_points_stay_per_point_in_a_batched_sweep(ex1):
+    # v_s = 6 pins the switch on; v_s = 600 makes the on stage too stiff
+    # for the series (|M dt| > 8), so that point's loop is left out of the
+    # batched build: both fail with the message poles() raises alone, and
+    # every other point has the eigenvalues poles() gives, to the bit
+    values = [6.0, 9.0, 600.0, 10.0, 11.0]
+    scheme = RLP(k_p=8.0)
+    traj = pole_trajectory(ex1, scheme, "v_s", values)
+    at = sweep_point(ex1, scheme, "v_s")
+    failed = []
+    for k, v in enumerate(values):
+        p, s, _, _ = at(v)
+        try:
+            alone = poles(p, s)
+        except sampled._FAILURES as exc:
+            failed.append((v, f"{type(exc).__name__}: {exc}"))
+            assert traj.pole_sets[k] is None
+            continue
+        assert _as_set(traj.pole_sets[k]) == _as_set(alone)
+    assert [v for v, _ in failed] == [6.0, 600.0]
+    assert failed[1][1].startswith("NumericalFailure: stage dynamics too stiff")
+    assert list(traj.errors) == failed
+
+
+def test_too_coarse_engine_grid_fails_each_point(ex1):
+    traj = pole_trajectory(ex1, RLP(k_p=8.0), "k_p", [8.0, 8.5], grid=3)
+    assert list(traj.errors) == [
+        (v, "DomainError: grid must be at least 4") for v in (8.0, 8.5)]
+
+
 def _pinned_sweep(which, ex1, ex2, sch2, ex3, sch4_at):
     """(params, scheme, variable, grid) of the sweeps pinned above."""
     if which == "gain":
@@ -305,6 +342,24 @@ def test_crossing_eigenvalue_sits_at_minus_one(which, ex1, ex2, sch2, ex3,
     assert len(traj.crossings) == (1 if which == "gain" else 2)
     for c in traj.crossings:
         assert abs(c.eigenvalue + 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["ex1_poles.cfg", "ex2_poles.cfg",
+                                  "ex3_poles.cfg", "ex4_poles.cfg"])
+def test_det_i_plus_j_sign_counts_real_multipliers_below_minus_one(name):
+    # the crossing refinement brackets det(I + J) in place of the tracked
+    # eigenvalue: a conjugate pair adds |1 + z|^2 > 0, so the sign of
+    # det(I + J) is the product of sign(1 + z) over the real multipliers
+    cfg = load_config(config_path(name))
+    at = sweep_point(cfg.params, cfg.scheme, cfg.sweep.variable)
+    for v in cfg.sweep.grid():
+        p, s, _, _ = at(v)
+        eng, _ = _engine_at_orbit(p, s)
+        J = eng.orbit[1]
+        eigs = np.linalg.eigvals(J)
+        reals = eigs[np.imag(eigs) == 0.0].real
+        assert (np.sign(np.linalg.det(np.eye(len(J)) + J))
+                == np.prod(np.sign(1.0 + reals))), v
 
 
 @pytest.mark.parametrize("nudge", [-1e-15, 0.0, 1e-15, 3e-15])

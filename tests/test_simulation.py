@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from subharmonic import (
     CMC,
@@ -28,6 +29,8 @@ from subharmonic import (
 )
 from subharmonic._roots import brentq
 from subharmonic.config import load_config
+from subharmonic.schemes import sweep_point
+from subharmonic.simulation import _propagator_stacks
 
 from conftest import config_path
 from test_sampled import SCENARIOS, _scenario
@@ -140,6 +143,75 @@ def test_batched_grids_match_one_product_at_a_time(name, ex1, ex2, sch2, ex3,
         for _ in range(eng.grid):
             chain.append(E @ chain[-1])
         assert np.array_equal(grids, np.array(chain)), name
+
+
+POLES_CONFIGS = sorted(
+    os.path.basename(p) for p in glob.glob(config_path("*_poles.cfg")))
+ENGINE_ARRAYS = ("Phi_on", "Phi_off", "_P_on_rows", "_P_off_rows", "yPhi_on",
+                 "yP_on")
+
+
+def _assert_batch_matches_single_builds(loops):
+    # one engine per loop from a single batched stack build, each equal to
+    # the engine built from its loop alone, to the bit
+    stacks = _propagator_stacks(loops, 64)
+    for loop, st in zip(loops, stacks):
+        batched, alone = CycleEngine(loop, _stacks=st), CycleEngine(loop)
+        for attr in ENGINE_ARRAYS:
+            assert np.array_equal(getattr(batched, attr),
+                                  getattr(alone, attr)), attr
+    return stacks
+
+
+@pytest.mark.parametrize("name", POLES_CONFIGS)
+def test_batched_build_matches_single_builds_on_pole_sweeps(name):
+    cfg = load_config(config_path(name))
+    at = sweep_point(cfg.params, cfg.scheme, cfg.sweep.variable)
+    _assert_batch_matches_single_builds(
+        [build_closed_loop(*at(v)[:2]) for v in cfg.sweep.grid()])
+
+
+def test_batched_build_matches_single_builds_on_scenarios(ex1, ex2, sch2, ex3,
+                                                          sch4_at):
+    # a batch holds loops of one dimension: the RL, averaged-current and
+    # type-III scenarios form one batch each
+    by_dim = {}
+    for name, _, _ in SCENARIOS:
+        loop = build_closed_loop(*_scenario(name, ex1, ex2, sch2, ex3, sch4_at))
+        by_dim.setdefault(loop.dim, []).append(loop)
+    assert sorted(len(b) for b in by_dim.values()) == [2, 2, 4]
+    for loops in by_dim.values():
+        _assert_batch_matches_single_builds(loops)
+
+
+def test_batched_stacks_stop_at_their_own_length(ex2, sch2):
+    # the two averaged-current loops need 13/12 and 14/14 Taylor terms: one
+    # chain runs to 14, and each stage keeps only its own prefix
+    loops = [build_closed_loop(ex2, dataclasses.replace(
+        sch2, omega_p=ratio * ex2.omega_s)) for ratio in (0.49, 0.81)]
+    stacks = _assert_batch_matches_single_builds(loops)
+    assert [(len(on), len(off)) for on, off, _ in stacks] == [(13, 12),
+                                                             (14, 14)]
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(config_path("*.cfg"))))
+def test_taylor_stack_drops_only_a_negligible_tail(name):
+    # each stage's stack ends where theta_M theta_A^(j-1) / j! < 1e-22, a
+    # bound on the 1-norm of M^j / j!: the terms it leaves out sum below
+    # 1e-22 and the stack sums to scipy's expm
+    cfg = load_config(config_path(name))
+    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
+    m = eng.n + 1
+    for rows in (eng._P_on_rows, eng._P_off_rows):
+        M = rows[1].reshape(m, m)
+        term, tail = rows[-1].reshape(m, m), np.zeros((m, m))
+        for j in range(len(rows), len(rows) + 30):
+            term = term @ M / j
+            tail += term
+        assert np.linalg.norm(tail, 1) < 1e-22, name
+        E = rows.sum(axis=0).reshape(m, m)
+        assert np.max(np.abs(E - scipy_expm(M))) <= 1e-14, name
 
 
 def _assert_crossing_bits(eng, states):
