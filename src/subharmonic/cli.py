@@ -19,18 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import RunConfig, SweepSpec, load_config, parse_sweep
-from .errors import (
-    ConfigError,
-    DegenerateOrbit,
-    Divergence,
-    DomainError,
-    MissingParameter,
-    NoConvergence,
-    NoRoot,
-    NumericalFailure,
-    SubharmonicError,
-    UnsupportedStructure,
-)
+from .errors import ConfigError, Divergence, SubharmonicError
 from .sampled import pole_trajectory
 from .schemes import (
     acmc_window_estimate,
@@ -47,16 +36,6 @@ from .simulation import CycleEngine, build_closed_loop, simulate
 from .transform import f_transform_series
 
 __all__ = ["main"]
-
-_DOMAIN_ERRORS = (
-    DomainError,
-    NoRoot,
-    NoConvergence,
-    DegenerateOrbit,
-    UnsupportedStructure,
-    NumericalFailure,
-    MissingParameter,
-)
 
 
 def _fmt(x) -> str:
@@ -192,11 +171,11 @@ def cmd_lplot(cfg: RunConfig) -> int:
 def _lvalue_series_at(cfg: RunConfig, at, value: float):
     """(L, None) by the series at one sweep value, or (nan, error) where
     the series is not defined there."""
-    params, scheme, D, _ = at(float(value))
+    params, scheme, D = at(float(value))
     D = _resolve_duty(cfg.duty if D is None else D, params, scheme)
     try:
         return _series_lvalue(params, scheme, D, cfg.terms), None
-    except _DOMAIN_ERRORS as exc:
+    except SubharmonicError as exc:
         return float("nan"), exc
 
 
@@ -276,15 +255,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_strobe(trace)
     d = trace.dense
     header = ("t",) + trace.labels + ("y", "h", "v_d")
-    vo = None
-    if d is not None:
-        _write_csv(dense_out, header,
-                   _float_rows(d.t, d.x, d.y, d.h, d.v_d))
-        vo = d.x @ loop.vo_row
+    _write_csv(dense_out, header, _float_rows(d.t, d.x, d.y, d.h, d.v_d))
+    vo = d.x @ loop.vo_row
     print(f"simulate: {cycles} cycles, wrote {out} and {dense_out}")
-    if vo is not None and vo.size:
-        print(f"output ripple (last {min(trace.window, cycles)} cycles): "
-              f"{_fmt(vo.max() - vo.min())}")
+    print(f"output ripple (last {trace.window} cycles): "
+          f"{_fmt(vo.max() - vo.min())}")
     print(trace.classification)
     return 0
 
@@ -390,12 +365,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except Divergence as exc:
         print(f"error: divergence: {exc}", file=sys.stderr)
         return 4
+    except SubharmonicError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -63,13 +63,11 @@ class PoleSet:
     def spectral_radius(self) -> float:
         return max(abs(z) for z in self.eigenvalues)
 
-    def most_negative_real(self, imag_tol: float = 1e-6) -> Optional[float]:
-        """Smallest real part among (numerically) real eigenvalues."""
-        reals = [
-            z.real
-            for z in self.eigenvalues
-            if abs(z.imag) <= imag_tol * (1.0 + abs(z))
-        ]
+    def most_negative_real(self) -> Optional[float]:
+        """Smallest real part among (numerically) real eigenvalues: those
+        with |Im z| at most 1e-6 (1 + |z|)."""
+        reals = [z.real for z in self.eigenvalues
+                 if abs(z.imag) <= 1e-6 * (1.0 + abs(z))]
         return min(reals) if reals else None
 
 

@@ -659,9 +659,7 @@ def critical_rlp(params: BuckParams, k_p: float, D=None) -> CriticalResult:
     return CriticalResult(lvalue=scheme.lvalue(params, D))
 
 
-def rlp_critical_kp(
-    params: BuckParams, k_min: float = 0.1, k_max: float = 100.0
-) -> Tuple[float, float]:
+def rlp_critical_kp(params: BuckParams) -> Tuple[float, float]:
     """Critical proportional gain of the RL loop and its duty cycle.
 
     The steady-state duty is pinned by the regulation limit of the
@@ -671,16 +669,16 @@ def rlp_critical_kp(
         v_s d + v_s d (1 - d) T R / (2 L) = v_r,
 
     whose smaller quadratic root lies in (0, 1) whenever v_r < v_s.  The
-    critical condition v_s k_p p alpha(d, p) = V_m is then solved for k_p
-    by bisection over [k_min, k_max].  Returns (k_p, d).
+    critical condition v_s k_p p alpha(d, p) = V_m is linear in k_p, so
+    k_p = 1 / L at k_p = 1, with no search bracket; NoRoot when that L is
+    not positive.  Returns (k_p, d).
 
     The gain/duty pair is razor-sensitive to the duty convention: using
     the exact exponential ripple instead shifts the duty by 2e-4 and the
     gain by 0.09, landing on the exact switching threshold rather than
     the closed-form figure this routine targets.
     """
-    V_m = _require_vm(params)
-    p = params.R / (params.L * params.omega_s)
+    _require_vm(params)
     half_ripple = params.v_s * params.T * params.R / (2.0 * params.L)
     a = half_ripple
     b = params.v_s + half_ripple
@@ -690,17 +688,10 @@ def rlp_critical_kp(
     d = (b - math.sqrt(disc)) / (2.0 * a)
     if not 0.0 < d < 1.0:
         raise NoRoot("steady-state duty falls outside (0, 1)")
-    gain = params.v_s * p * alpha(d, p) / V_m
-
-    def g(kp):
-        return kp * gain - 1.0
-
-    if gain <= 0.0 or g(k_min) > 0.0 or g(k_max) < 0.0:
-        raise NoRoot(
-            f"no critical gain in [{k_min}, {k_max}] at steady duty {d:.4f}"
-        )
-    kp = bisect(g, k_min, k_max, rtol=1e-13)
-    return kp, d
+    gain = RLP(k_p=1.0).lvalue(params, d)
+    if not gain > 0.0:
+        raise NoRoot(f"no positive critical gain at steady duty {d:.4f}")
+    return 1.0 / gain, d
 
 
 # -- Average current-mode control -------------------------------------------
@@ -806,25 +797,22 @@ def sweep_point(params: BuckParams, scheme: ControlScheme, variable: str):
 
     Raises DomainError at once when the variable is unknown or the scheme
     has no such field.  The returned function maps a value x to
-    (params, scheme, D, p): D is x for a duty sweep and None otherwise
-    (the point keeps its own duty); p is x for a pole-ratio sweep and None
-    otherwise.  p is handed on exactly as given because x * omega_s /
-    omega_s does not always round back to x.
+    (params, scheme, D): D is x for a duty sweep and None otherwise (the
+    point keeps its own duty).
     """
     if variable not in SWEEP_VARIABLES:
         raise DomainError(f"sweep variable must be one of {SWEEP_VARIABLES}")
     if variable == "D":
-        return lambda x: (params, scheme, float(x), None)
+        return lambda x: (params, scheme, float(x))
     if variable in ("v_s", "v_r"):
-        return lambda x: (replace(params, **{variable: x}), scheme, None, None)
+        return lambda x: (replace(params, **{variable: x}), scheme, None)
     name = "omega_p" if variable == "p" else variable
     if not hasattr(scheme, name):
         raise DomainError(f"{type(scheme).__name__} has no {name} to sweep")
     if variable == "p":
         return lambda x: (
-            params, replace(scheme, omega_p=x * params.omega_s), None, x
-        )
-    return lambda x: (params, replace(scheme, **{name: x}), None, None)
+            params, replace(scheme, omega_p=x * params.omega_s), None)
+    return lambda x: (params, replace(scheme, **{name: x}), None)
 
 
 def _grid(values) -> np.ndarray:
@@ -878,17 +866,16 @@ def lplot(
     form to a relative tolerance of 1e-9.  ``duty`` pins the duty cycle
     for sweeps that would otherwise re-derive it per point.
 
-    A sweep over D, or over p on a scheme whose nominal duty does not move
-    with omega_p, evaluates the whole grid in one array call of
-    ``scheme.lvalue``; other variables rebuild the operating point at each
-    grid value.
+    A sweep over D or p evaluates the whole grid in one array call of
+    ``scheme.lvalue`` (no scheme's nominal duty moves with omega_p); other
+    variables rebuild the operating point at each grid value.
     """
     at = sweep_point(params, scheme, variable)
     g = _grid(grid)
     one_call = True
     if variable == "D":
         lvalue = lambda x: scheme.lvalue(params, x)
-    elif variable == "p" and "omega_p" not in scheme.duty_depends_on:
+    elif variable == "p":
         # what replacing omega_p with p * omega_s would reject
         if np.any(g <= 0.0):
             raise DomainError("omega_p must be positive")
@@ -898,9 +885,9 @@ def lplot(
         one_call = False
 
         def lvalue(x):
-            pr, sch, _, p = at(x)
+            pr, sch, _ = at(x)
             D = duty if duty is not None else duty_ratio(pr, sch)
-            return closed_form_lvalue(pr, sch, D, p)
+            return closed_form_lvalue(pr, sch, D)
 
     lv = lvalue(g) if one_call else np.array([lvalue(x) for x in g])
     crossings = grid_crossings(
@@ -933,7 +920,7 @@ def _solve_coupled(params, scheme, variable):
     x0 = getattr(params if hasattr(params, variable) else scheme, variable)
 
     def lvalue(x):
-        pr, sch, _, _ = at(x)
+        pr, sch, _ = at(x)
         return closed_form_lvalue(pr, sch, duty_ratio(pr, sch))
 
     grid = np.geomspace(1e-3 * x0, 1e4 * x0, 240)

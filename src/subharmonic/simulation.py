@@ -283,7 +283,7 @@ class CycleEngine:
         self.h_slope_dt = p.V_m / grid
         # root tolerance in subinterval units, 1e-13 T: the crossing's
         # and the orbit duty's
-        self.u_tol = max(1e-13 * self.T / self.dt, 4e-16)
+        self.u_tol = 1e-13 * self.T / self.dt
         # (x, J): the last period-1 orbit steady_state solved on this
         # engine and the exact cycle-map Jacobian there
         self.orbit = (None, None)
@@ -460,10 +460,8 @@ def _classify(strobe: np.ndarray, duties: np.ndarray, window: int) -> str:
     n_sat = int(np.sum((dtail <= 0.0) | (dtail >= 1.0)))
     if n_sat > window // 2:
         return "other"
-    scale = 1.0 + float(np.max(np.abs(tail))) if tail.size else 1.0
+    scale = 1.0 + float(np.max(np.abs(tail)))
     for m in (1, 2, 4):
-        if tail.shape[0] <= m:
-            break
         resid = float(np.max(np.abs(tail[m:] - tail[:-m])))
         if resid <= 1e-8 * scale:
             return f"period-{m}"
@@ -584,7 +582,6 @@ def simulate(
                 x = strobe[k]
     dense_trace = None
     if dense and dts:
-        p = eng.loop.params
         h = np.tile(eng.h_grid[: eng.grid], len(dts))
         dense_trace = DenseTrace(
             t=np.concatenate(dts),
@@ -596,7 +593,7 @@ def simulate(
     return SimTrace(
         strobe,
         duties,
-        _classify(strobe, duties, min(window, cycles - 1)),
+        _classify(strobe, duties, window),
         eng.loop.labels,
         window,
         dense_trace,

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from subharmonic import ConfigError, cli, simulate
+from subharmonic import ConfigError, cli, errors, simulate
 from subharmonic.config import load_config
 
 from conftest import config_path
@@ -378,6 +378,23 @@ def test_no_root_exit_code(tmp_path):
                 "--out", str(tmp_path / "o.csv"))
     assert r.returncode == 3
     assert "error" in r.stderr
+
+
+@pytest.mark.parametrize("name, code, prefix", [
+    ("ConfigError", 2, "config error: "),
+    ("Divergence", 4, "error: divergence: "),
+] + [(n, 3, f"error: {n}: ") for n in errors.__all__
+     if n not in ("ConfigError", "Divergence")])
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch,
+                                           name, code, prefix):
+    def fail(cfg):
+        raise getattr(errors, name)("planted")
+
+    monkeypatch.setitem(cli._COMMANDS, "critical", fail)
+    argv = ["critical", "--config", config_path("ex1_critical.cfg"),
+            "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"{prefix}planted\n"
 
 
 def test_default_output_name(tmp_path):

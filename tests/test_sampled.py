@@ -281,7 +281,7 @@ def test_failed_points_stay_per_point_in_a_batched_sweep(ex1):
     at = sweep_point(ex1, scheme, "v_s")
     failed = []
     for k, v in enumerate(values):
-        p, s, _, _ = at(v)
+        p, s, _ = at(v)
         try:
             alone = poles(p, s)
         except sampled._FAILURES as exc:
@@ -327,7 +327,7 @@ def test_sweep_points_do_not_depend_on_history(which, ex1, ex2, sch2, ex3,
         return sorted(ps.eigenvalues, key=lambda z: (z.real, z.imag))
 
     for k, v in enumerate(grid):
-        p, s, _, _ = at(v)
+        p, s, _ = at(v)
         alone = as_set(poles(p, s))
         assert as_set(forward.pole_sets[k]) == alone
         assert as_set(backward.pole_sets[-1 - k]) == alone
@@ -353,7 +353,7 @@ def test_det_i_plus_j_sign_counts_real_multipliers_below_minus_one(name):
     cfg = load_config(config_path(name))
     at = sweep_point(cfg.params, cfg.scheme, cfg.sweep.variable)
     for v in cfg.sweep.grid():
-        p, s, _, _ = at(v)
+        p, s, _ = at(v)
         eng, _ = _engine_at_orbit(p, s)
         J = eng.orbit[1]
         eigs = np.linalg.eigvals(J)

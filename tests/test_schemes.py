@@ -17,6 +17,7 @@ from subharmonic import (
     VMC3,
     BuckParams,
     DomainError,
+    NoRoot,
     acmc_gain,
     acmc_min_ramp,
     acmc_window_estimate,
@@ -56,6 +57,19 @@ def test_rl_proportional_critical_gain(ex1):
     # the solver front end reaches the same number
     res = solve_critical(ex1, RLP(k_p=8.0), "k_p")
     assert res.critical_value == pytest.approx(kp, rel=1e-12)
+
+
+def test_rl_critical_gain_is_the_exact_root(ex1):
+    # L is linear in k_p, so the critical gain puts L on 1 to the last bits
+    kp, duty = rlp_critical_kp(ex1)
+    assert abs(RLP(k_p=kp).lvalue(ex1, duty) - 1.0) <= 4 * math.ulp(1.0)
+
+
+def test_rl_critical_gain_needs_a_positive_lvalue(ex1):
+    # at v_r = 5 the steady duty is 0.3820, where alpha(d, p) < 0
+    with pytest.raises(NoRoot, match="no positive critical gain at steady "
+                                     "duty 0.3820"):
+        rlp_critical_kp(dataclasses.replace(ex1, v_r=5.0))
 
 
 def test_rl_steady_duty_from_modulator_balance(ex1):
