@@ -40,10 +40,7 @@ __all__ = ["main"]
 
 def _fmt(x) -> str:
     """17-significant-digit decimal, the round-trip form for doubles."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 _BLOCK_ROWS = 256

@@ -82,15 +82,11 @@ def poincare_jacobian(
     """Central-difference Jacobian of the cycle map at a period-1 orbit.
 
     The cross-check of the exact Jacobian that ``poles`` uses.  orbit is
-    the (x, duty) pair from steady_state (a bare state vector is
-    accepted).  Every restep, perturbed ones included, must commute at an
-    interior crossing; a saturated duty raises DegenerateOrbit since the
-    map is not differentiable there.
+    the (x, duty) pair from steady_state.  Every restep, perturbed ones
+    included, must commute at an interior crossing; a saturated duty
+    raises DegenerateOrbit since the map is not differentiable there.
     """
-    if isinstance(orbit, tuple):
-        x = np.asarray(orbit[0], dtype=float)
-    else:
-        x = np.asarray(orbit, dtype=float)
+    x = np.asarray(orbit[0], dtype=float)
     eng = engine if engine is not None else CycleEngine(
         build_closed_loop(params, scheme), grid
     )
@@ -221,11 +217,14 @@ def pole_trajectory(
     scalar to a relative tolerance of 1e-10 in the swept parameter, and
     its eigenvalue is taken once, at the root.  The grid points' engines
     come from one batched build, each the bits its point builds alone.
-    Failures at individual points are recorded and the sweep continues.
+    Failures at individual points are recorded and the sweep continues;
+    a grid below 4 is rejected once, before any point runs.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise DomainError("sweep values must form a 1-d grid")
+    if grid < 4:
+        raise DomainError("grid must be at least 4")
     if variable == "D":
         raise DomainError("the switched loop sets its own duty; D cannot be swept")
     at = sweep_point(params, scheme, variable)

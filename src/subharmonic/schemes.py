@@ -585,8 +585,6 @@ def v2_no_ramp_feasible(params: BuckParams, D: float) -> bool:
     D = float(D)
     if not D < 0.5:
         return False
-    if params.R_c == 0.0:
-        return False
     return params.R_c * C / params.T > v2_no_ramp_threshold(D)
 
 

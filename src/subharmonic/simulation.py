@@ -210,11 +210,9 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
 
     One Taylor chain serves every stage, and one batched product per grid
     step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi),
-    views of shared arrays, or None if a stage has ‖M dt‖₁ > 8 (or for
-    grid < 4, which ``CycleEngine`` rejects).
+    views of shared arrays, or None if a stage has ‖M dt‖₁ > 8.  grid is
+    taken as valid; ``CycleEngine`` and ``pole_trajectory`` check it.
     """
-    if grid < 4:
-        return [None] * len(loops)
     m = loops[0].dim + 1 if loops else 1
     Ms = np.zeros((len(loops), 2, m, m))
     for M, loop in zip(Ms, loops):
@@ -294,6 +292,7 @@ class CycleEngine:
         y - h over the cell is a polynomial in u, evaluated by Horner on
         Python floats: brentq calls it about 8 times per crossing, and
         numpy scalars would cost five times as much for the same bits.
+        brentq raises NumericalFailure if it has one sign over the cell.
         """
         x_base = self.Phi_on[i - 1] @ x_aug
         coeffs = (self.yP_on @ x_base)[::-1].tolist()
@@ -306,9 +305,6 @@ class CycleEngine:
                 acc = acc * u + c
             return acc - h0 - slope * u
 
-        g0, g1 = g(0.0), g(1.0)
-        if not (g0 > 0.0 >= g1):
-            raise NumericalFailure("crossing bracket lost during refinement")
         u = brentq(g, 0.0, 1.0, xtol=self.u_tol, rtol=8.9e-16)
         return u, x_base
 

@@ -25,7 +25,6 @@ from .errors import DomainError, NoConvergence, UnsupportedStructure
 from .tf import RationalTF
 
 __all__ = [
-    "NormalizedFreq",
     "TableCase",
     "alpha",
     "alpha0",
@@ -35,16 +34,6 @@ __all__ = [
     "f_transform_series",
     "f_transform_rational",
 ]
-
-
-class NormalizedFreq(float):
-    """Angular frequency divided by the switching frequency (p or z)."""
-
-    def __new__(cls, value):
-        v = float(value)
-        if not math.isfinite(v) or v < 0.0:
-            raise DomainError(f"normalized frequency must be >= 0, got {value!r}")
-        return super().__new__(cls, v)
 
 
 def _check_duty(D):
@@ -188,17 +177,37 @@ def correction_c(D, p):
 # ---------------------------------------------------------------------------
 # Catalog of closed-form F-transforms for the common loop-gain shapes.
 
-_CASES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
-_NEEDS_P = frozenset({"C1", "C3", "C4", "C5", "C8", "C9"})
-_NEEDS_Z = frozenset({"C4", "C7", "C8", "C9"})
+def _c9(D, p, z, omega_s):
+    # the 1/p factor is removable, the whole expression -> 0 as p -> 0
+    if p == 0.0:
+        return np.zeros(np.shape(D))
+    c = correction_c(D, p)
+    return (p / z * alpha1(D) + (1.0 / p - 1.0 / z) * c) / omega_s**2
+
+
+# case id -> (takes p, takes z, F(D, p, z, omega_s))
+_CATALOG = {
+    "C1": (True, False, lambda D, p, z, omega_s: alpha(D, p) / omega_s),
+    "C2": (False, False, lambda D, p, z, omega_s: alpha0(D) / omega_s),
+    "C3": (True, False, lambda D, p, z, omega_s: p * alpha(D, p)),
+    "C4": (True, True, lambda D, p, z, omega_s:
+           -p / z + p * (1.0 - p / z) * alpha(D, p)),
+    "C5": (True, False, lambda D, p, z, omega_s: (alpha0(D) - alpha(D, p)) / omega_s),
+    "C6": (False, False, lambda D, p, z, omega_s: alpha1(D) / omega_s**2),
+    "C7": (False, True, lambda D, p, z, omega_s:
+           (alpha0(D) / z + alpha1(D)) / omega_s**2),
+    "C8": (True, True, lambda D, p, z, omega_s:
+           (alpha0(D) + (p / z - 1.0) * alpha(D, p)) / omega_s),
+    "C9": (True, True, _c9),
+}
 
 
 @dataclass(frozen=True)
 class TableCase:
     """One catalog entry: case id plus its normalized pole/zero frequencies.
 
-    p is required exactly for C1, C3, C4, C5, C8, C9 and z exactly for
-    C4, C7, C8, C9; supplying either where unused is rejected.
+    The catalog table says which cases take p and z; a missing one, or one
+    supplied where unused, is rejected, and a given one must be >= 0 and finite.
     """
 
     case_id: str
@@ -206,18 +215,16 @@ class TableCase:
     z: Optional[float] = None
 
     def __post_init__(self):
-        if self.case_id not in _CASES:
-            raise DomainError(f"unknown case id {self.case_id!r}")
-        if (self.p is not None) != (self.case_id in _NEEDS_P):
-            need = "requires" if self.case_id in _NEEDS_P else "does not take"
-            raise DomainError(f"{self.case_id} {need} a pole frequency p")
-        if (self.z is not None) != (self.case_id in _NEEDS_Z):
-            need = "requires" if self.case_id in _NEEDS_Z else "does not take"
-            raise DomainError(f"{self.case_id} {need} a zero frequency z")
-        if self.p is not None:
-            object.__setattr__(self, "p", float(NormalizedFreq(self.p)))
-        if self.z is not None:
-            object.__setattr__(self, "z", float(NormalizedFreq(self.z)))
+        cid = self.case_id
+        if cid not in _CATALOG:
+            raise DomainError(f"unknown case id {cid!r}")
+        for name, kind, takes in zip("pz", ("pole", "zero"), _CATALOG[cid][:2]):
+            if (getattr(self, name) is not None) != takes:
+                need = "requires" if takes else "does not take"
+                raise DomainError(f"{cid} {need} a {kind} frequency {name}")
+        for name in "pz":
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(_check_p(getattr(self, name))))
 
 
 def f_transform_case(case: TableCase, D, omega_s: float):
@@ -229,31 +236,9 @@ def f_transform_case(case: TableCase, D, omega_s: float):
     if not omega_s > 0.0:
         raise DomainError("omega_s must be positive")
     D = _check_duty(D)
-    p, z = case.p, case.z
-    if case.case_id in _NEEDS_Z and z == 0.0:
+    if case.z == 0.0:
         raise DomainError(f"{case.case_id} divides by z; z must be nonzero")
-    cid = case.case_id
-    if cid == "C1":
-        return _maybe_scalar(alpha(D, p) / omega_s)
-    if cid == "C2":
-        return _maybe_scalar(alpha0(D) / omega_s)
-    if cid == "C3":
-        return _maybe_scalar(p * alpha(D, p))
-    if cid == "C4":
-        return _maybe_scalar(-p / z + p * (1.0 - p / z) * alpha(D, p))
-    if cid == "C5":
-        return _maybe_scalar((alpha0(D) - alpha(D, p)) / omega_s)
-    if cid == "C6":
-        return _maybe_scalar(alpha1(D) / omega_s**2)
-    if cid == "C7":
-        return _maybe_scalar((alpha0(D) / z + alpha1(D)) / omega_s**2)
-    if cid == "C8":
-        return _maybe_scalar((alpha0(D) + (p / z - 1.0) * alpha(D, p)) / omega_s)
-    # C9; the 1/p factor is removable, the whole expression -> 0 as p -> 0
-    if p == 0.0:
-        return _maybe_scalar(np.zeros(np.shape(D)))
-    c = correction_c(D, p)
-    return _maybe_scalar((p / z * alpha1(D) + (1.0 / p - 1.0 / z) * c) / omega_s**2)
+    return _maybe_scalar(_CATALOG[case.case_id][2](D, case.p, case.z, omega_s))
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +430,7 @@ def f_transform_rational(T: RationalTF, D, omega_s: float):
             )
 
     num = T.num_coeffs()
-    den_tilde = np.array([1.0])
-    for w in corners:
-        den_tilde = np.polynomial.polynomial.polymul(den_tilde, [1.0, 1.0 / w])
+    den_tilde = RationalTF(1.0, poles=corners).den_coeffs()
     dden = np.polynomial.polynomial.polyder(den_tilde) if len(den_tilde) > 1 else None
 
     polyval = np.polynomial.polynomial.polyval

@@ -13,6 +13,7 @@ from subharmonic import (
     RLP,
     CycleEngine,
     DegenerateOrbit,
+    DomainError,
     build_closed_loop,
     cycle_jacobian,
     lplot,
@@ -294,10 +295,9 @@ def test_failed_points_stay_per_point_in_a_batched_sweep(ex1):
     assert list(traj.errors) == failed
 
 
-def test_too_coarse_engine_grid_fails_each_point(ex1):
-    traj = pole_trajectory(ex1, RLP(k_p=8.0), "k_p", [8.0, 8.5], grid=3)
-    assert list(traj.errors) == [
-        (v, "DomainError: grid must be at least 4") for v in (8.0, 8.5)]
+def test_too_coarse_engine_grid_is_rejected_once(ex1):
+    with pytest.raises(DomainError, match="grid must be at least 4"):
+        pole_trajectory(ex1, RLP(k_p=8.0), "k_p", [8.0, 8.5], grid=3)
 
 
 def _pinned_sweep(which, ex1, ex2, sch2, ex3, sch4_at):

@@ -16,6 +16,7 @@ from subharmonic import (
     RLP,
     VMC3,
     BuckParams,
+    ControlScheme,
     DomainError,
     NoRoot,
     acmc_gain,
@@ -32,6 +33,7 @@ from subharmonic import (
     critical_vmc3,
     duty_ratio,
     loop_gain_hf,
+    load_config,
     lplot,
     rlp_critical_kp,
     rlp_steady_duty,
@@ -44,6 +46,7 @@ from subharmonic import (
     vmc3_gain,
 )
 from subharmonic.schemes import grid_crossings
+from conftest import config_path
 from subharmonic.transform import alpha, alpha0, f_transform_series
 
 
@@ -523,3 +526,69 @@ def test_unpinned_solve_lands_on_its_own_duty(scheme, variable):
         sch = dataclasses.replace(sch, k_p=x)
     assert closed_form_lvalue(params, sch, duty_ratio(params, sch)) == \
         pytest.approx(1.0, abs=1e-9)
+
+
+# --------------------------------------------- every pinned critical route
+
+# a 12 V to 3.3 V plant at 100 kHz with a 1 V ramp
+PLANT_100K = BuckParams(v_s=12.0, v_r=3.3, V_l=0.0, V_h=1.0, f_s=100e3,
+                        L=10e-6, R=1.0, C=100e-6, R_c=0.05)
+
+
+def _lvalue_at_critical(params, scheme, variable, value, D):
+    """L with the solved value put in place: v_s or the ramp on the plant
+    (m_a through V_h = V_l + m_a T), k_p on the scheme, or D itself."""
+    if variable == "v_s":
+        params = dataclasses.replace(params, v_s=value)
+    elif variable == "m_a":
+        params = dataclasses.replace(params, V_h=params.V_l + value * params.T)
+    elif variable == "k_p":
+        scheme = dataclasses.replace(scheme, k_p=value)
+    else:
+        D = value
+    return closed_form_lvalue(params, scheme, D)
+
+
+def _lplot_config(name):
+    cfg = load_config(config_path(name))
+    return cfg.params, cfg.scheme, duty_ratio(cfg.params, cfg.scheme)
+
+
+def _pinned_routes():
+    cmc_plant = dataclasses.replace(PLANT_100K, V_h=0.3)
+    ex2, acmc, d2 = _lplot_config("ex2_lplot.cfg")
+    ex4, vmc3, d4 = _lplot_config("ex4_lplot.cfg")
+    # closed forms to 8 ulp of 1, the base-class scan over D to 1e-8
+    for variable in ("k_p", "v_s", "m_a", "D"):
+        tol = 1e-8 if variable == "D" else 8 * math.ulp(1.0)
+        yield PLANT_100K, PVMC(k_p=4.0), variable, 0.6, tol
+        if variable != "D":
+            yield PLANT_100K, CFPVR(k_p=0.5), variable, 0.6, tol
+    for variable in ("m_a", "v_s", "D"):
+        yield cmc_plant, CMC(), variable, 0.6, 8 * math.ulp(1.0)
+    for variable in ("v_s", "m_a"):
+        yield ex2, acmc, variable, d2, 8 * math.ulp(1.0)
+        yield ex4, vmc3, variable, d4, 8 * math.ulp(1.0)
+    yield ex4, vmc3, "D", d4, 1e-8
+
+
+@pytest.mark.parametrize(
+    "params,scheme,variable,D,tol", list(_pinned_routes()),
+    ids=lambda x: x if isinstance(x, str) else (
+        type(x).__name__ if isinstance(x, ControlScheme) else ""))
+def test_each_pinned_critical_value_puts_l_at_one(params, scheme, variable,
+                                                  D, tol):
+    value = scheme.critical(params, variable, D)
+    got = _lvalue_at_critical(params, scheme, variable, value, D)
+    assert abs(got - 1.0) <= tol
+
+
+def test_pinned_critical_routes_that_have_no_answer(ex1):
+    # CFPVR's divider and ACMC's compensator keep L below 1 at every duty
+    with pytest.raises(NoRoot):
+        CFPVR(k_p=0.5).critical(PLANT_100K, "D", 0.6)
+    ex2, acmc, d2 = _lplot_config("ex2_lplot.cfg")
+    with pytest.raises(NoRoot):
+        acmc.critical(ex2, "D", d2)
+    with pytest.raises(DomainError, match="the RL loop solves for k_p only"):
+        RLP(k_p=8.0).critical(ex1, "v_s", 0.6)

@@ -32,6 +32,16 @@ def test_at_infinity_for_relative_degree_zero():
     assert abs(big - 12.0) < 1e-9
 
 
+def test_at_infinity_with_quadratic_factors():
+    # each quadratic factor tends to b2 s^2, so T -> scale * b2_z / b2_p
+    T = RationalTF(3.0, zeros=[2.0], poles=[8.0],
+                   quad_zeros=[(0.1, 0.02), (0.3, 0.05)],
+                   quad_poles=[(0.05, 0.01), (0.2, 0.04)])
+    want = 3.0 * 8.0 / 2.0 * (0.02 * 0.05) / (0.01 * 0.04)
+    assert T.at_infinity() == pytest.approx(want, rel=1e-15)
+    assert abs(T(1j * 1e12) - want) < 1e-9 * want
+
+
 def test_scaled_multiplies_pointwise():
     T = RationalTF(1.5, poles=[4.0], integrators=1)
     s = 0.7j

@@ -315,6 +315,47 @@ def test_case_argument_validation(cid, kw):
         TableCase(cid, **kw)
 
 
+# the frequencies each catalog case takes, restated from the paper's table
+CASE_TAKES = {"C1": "p", "C2": "", "C3": "p", "C4": "pz", "C5": "p",
+              "C6": "", "C7": "z", "C8": "pz", "C9": "pz"}
+KIND = {"p": "pole", "z": "zero"}
+
+
+def _case_kwargs(cid):
+    return {name: 0.5 for name in CASE_TAKES[cid]}
+
+
+@pytest.mark.parametrize("cid", sorted(CASE_TAKES))
+def test_each_case_takes_exactly_its_frequencies(cid):
+    assert TableCase(cid, **_case_kwargs(cid)).case_id == cid
+    for name, kind in KIND.items():
+        kw = _case_kwargs(cid)
+        if name in kw:
+            del kw[name]
+            need = "requires"
+        else:
+            kw[name] = 0.5
+            need = "does not take"
+        with pytest.raises(DomainError,
+                           match=f"{cid} {need} a {kind} frequency {name}"):
+            TableCase(cid, **kw)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("cid", [c for c in sorted(CASE_TAKES) if CASE_TAKES[c]])
+def test_each_case_rejects_a_bad_frequency(cid, bad):
+    for name in CASE_TAKES[cid]:
+        kw = _case_kwargs(cid)
+        kw[name] = bad
+        with pytest.raises(DomainError, match="normalized frequency"):
+            TableCase(cid, **kw)
+
+
+def test_unknown_case_id_is_rejected():
+    with pytest.raises(DomainError, match="unknown case id 'C10'"):
+        TableCase("C10", p=0.5)
+
+
 def test_duty_range_is_validated():
     # the closed interval [0, 1] is allowed; beyond it is not
     assert np.isfinite(f_transform_case(TableCase("C2"), 0.0, WS))
@@ -477,3 +518,29 @@ def test_rational_route_rejects_near_repeated_poles():
     T = RationalTF(1.0, poles=[1.0, 1.0 + 1e-12], integrators=1)
     with pytest.raises(UnsupportedStructure):
         f_transform_rational(T, 0.4, WS)
+
+
+# two real corners given as one quadratic factor 1 + (1/a + 1/b) s + s^2/(a b)
+QUAD_A, QUAD_B = 3e4, 2.5e5
+WS_100K = 2.0 * np.pi * 1e5
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_real_quadratic_factor_matches_its_two_poles(m):
+    quad = RationalTF(2e5, integrators=m,
+                      quad_poles=[(1.0 / QUAD_A + 1.0 / QUAD_B,
+                                   1.0 / (QUAD_A * QUAD_B))])
+    split = RationalTF(2e5, poles=[QUAD_A, QUAD_B], integrators=m)
+    for D in (0.2, 0.5, 0.8):
+        got = f_transform_rational(quad, D, WS_100K)
+        assert got == pytest.approx(f_transform_rational(split, D, WS_100K),
+                                    rel=1e-12)
+        assert got == pytest.approx(f_transform_series(quad, D, WS_100K),
+                                    rel=1e-7)
+
+
+def test_complex_quadratic_pole_pair_is_unsupported():
+    from subharmonic import UnsupportedStructure
+    T = RationalTF(1.0, quad_poles=[(1e-5, 1e-9)], integrators=1)
+    with pytest.raises(UnsupportedStructure, match="complex pole pair"):
+        f_transform_rational(T, 0.4, WS_100K)
