@@ -121,9 +121,9 @@ def poles(
 ) -> PoleSet:
     """Cycle-map eigenvalues at the period-1 orbit of an operating point.
 
-    The eigenvalues are those of the exact (saltation-matrix) Jacobian;
-    a saturated orbit or a crossing that grazes the ramp raises
-    DegenerateOrbit.
+    The eigenvalues are those of the exact (saltation-matrix) Jacobian.
+    ``steady_state`` rejects a saturated or grazing orbit as a candidate,
+    so an operating point with no other raises NoConvergence.
     """
     eng = CycleEngine(build_closed_loop(params, scheme), grid)
     x, _ = steady_state(params, scheme, x_init=x_init, engine=eng)
@@ -223,8 +223,6 @@ def pole_trajectory(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise DomainError("sweep values must form a 1-d grid")
-    if grid < 4:
-        raise DomainError("grid must be at least 4")
     if variable == "D":
         raise DomainError("the switched loop sets its own duty; D cannot be swept")
     at = sweep_point(params, scheme, variable)

@@ -196,7 +196,8 @@ class ControlScheme:
       compensator pole omega_p also take the pole ratio p); D and p may be
       arrays, and a scalar D and p give a float
     - ``critical(params, solve_for, D)``: the critical v_s, k_p, m_a or D
-      at a pinned duty D
+      at a pinned duty D; the base class divides by L, which is
+      proportional to v_s and k_p and to 1 / V_m, and scans D
     - ``wiring(params)``: the closed loop the simulator assembles
 
     ``duty_depends_on`` names the solve variables the nominal duty moves
@@ -217,6 +218,14 @@ class ControlScheme:
             if not curve.crossings:
                 raise NoRoot("L never crosses 1 over the duty range")
             return curve.crossings[0]
+        if solve_for in ("v_s", "m_a") or (
+                solve_for == "k_p" and hasattr(self, "k_p")):
+            lv = self.lvalue(params, D)
+            if lv <= 0.0:
+                raise DomainError(f"L is not positive; no finite critical {solve_for}")
+            if solve_for == "m_a":
+                return params.V_m * lv * params.f_s
+            return (params.v_s if solve_for == "v_s" else self.k_p) / lv
         raise DomainError(f"{type(self).__name__} has no {solve_for} to solve for")
 
 
@@ -294,14 +303,9 @@ class PVMC(ControlScheme):
         return _maybe_scalar(lead * bracket)
 
     def critical(self, params, solve_for, D):
+        # the ramp bound also answers at V_m = 0, where L is undefined
         if solve_for == "m_a":
             return v2_min_ramp(params, self.k_p, D)
-        if solve_for in ("v_s", "k_p"):
-            lv = self.lvalue(params, D)
-            if lv <= 0.0:
-                raise DomainError("L is not positive; no finite critical value")
-            # L is proportional to either
-            return (params.v_s if solve_for == "v_s" else self.k_p) / lv
         return super().critical(params, solve_for, D)
 
     def wiring(self, params):
@@ -361,32 +365,14 @@ class _PoleLoop(ControlScheme):
     """Compensator with an integrator and a pole omega_p.
 
     L = K (alpha0(D) - alpha(D, p)) with p = omega_p / omega_s and the
-    combined dimensionless gain K = ``gain(params)``; ``critical_vs``
-    turns a positive kernel gap into the critical source voltage.
+    combined dimensionless gain K = ``gain(params)``, proportional to v_s
+    and to 1 / V_m, so the base class's critical solves apply.
     """
 
-    def gap(self, params, D, p=None):
+    def lvalue(self, params, D, p=None):
         if p is None:
             p = self.omega_p / params.omega_s
-        return alpha0(D) - alpha(D, p)
-
-    def lvalue(self, params, D, p=None):
-        return self.gain(params) * self.gap(params, D, p)
-
-    def critical(self, params, solve_for, D):
-        if solve_for == "v_s":
-            gap = self.gap(params, D)
-            if gap <= 0.0:
-                raise DomainError(
-                    "alpha0 - alpha is not positive here; no finite critical v_s"
-                )
-            return self.critical_vs(params, gap)
-        if solve_for == "m_a":
-            lv = self.lvalue(params, D)
-            if lv <= 0.0:
-                raise DomainError("L is not positive; no ramp boundary here")
-            return params.V_m * lv * params.f_s
-        return super().critical(params, solve_for, D)
+        return self.gain(params) * (alpha0(D) - alpha(D, p))
 
 
 @dataclass(frozen=True)
@@ -407,13 +393,9 @@ class ACMC(_PoleLoop):
     def gain(self, params):
         """K = v_s R_s K_c / (V_m z_c L omega_s)."""
         V_m = _require_vm(params)
+        _check_zc(params, self)
         return (params.v_s * self.R_s * self.K_c
                 / (V_m * self.z_c * params.L * params.omega_s))
-
-    def critical_vs(self, params, gap):
-        _check_zc(params, self)
-        return (_require_vm(params) * self.z_c * params.L * params.omega_s
-                / (self.R_s * self.K_c * gap))
 
     def nominal_duty(self, params):
         return params.v_r * params.R / (self.R_s * params.v_s)
@@ -446,10 +428,6 @@ class VMC3(_PoleLoop):
         V_m = _require_vm(params)
         return (params.v_s * self.K_c * params.rho
                 / (V_m * self.kappa_z * params.omega_s))
-
-    def critical_vs(self, params, gap):
-        V_m = _require_vm(params)
-        return V_m * self.kappa_z * params.omega_s / (self.K_c * params.rho * gap)
 
     def nominal_duty(self, params):
         return params.v_r / params.v_s
@@ -703,12 +681,13 @@ def acmc_gain(params: BuckParams, scheme: ACMC) -> float:
 def critical_acmc(params: BuckParams, scheme: ACMC, D) -> CriticalResult:
     """ACMC stability number L = K (alpha0(D) - alpha(D, p)), p = omega_p/omega_s.
 
-    critical_value carries the critical source voltage when the kernel gap
-    is positive (otherwise no finite positive v_s exists and it is None).
+    critical_value carries the critical source voltage when L is positive
+    (otherwise no finite positive v_s exists and it is None).
     """
-    gap = scheme.gap(params, float(D))
-    crit_vs = scheme.critical_vs(params, gap) if gap > 0.0 else None
-    return CriticalResult(lvalue=scheme.gain(params) * gap, critical_value=crit_vs)
+    D = float(D)
+    lv = scheme.lvalue(params, D)
+    crit_vs = scheme.critical(params, "v_s", D) if lv > 0.0 else None
+    return CriticalResult(lvalue=lv, critical_value=crit_vs)
 
 
 def acmc_min_ramp(params: BuckParams, scheme: ACMC, D) -> float:

@@ -210,9 +210,10 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
 
     One Taylor chain serves every stage, and one batched product per grid
     step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi),
-    views of shared arrays, or None if a stage has ‖M dt‖₁ > 8.  grid is
-    taken as valid; ``CycleEngine`` and ``pole_trajectory`` check it.
+    views of shared arrays, or None if a stage has ‖M dt‖₁ > 8.
     """
+    if grid < 4:
+        raise DomainError("grid must be at least 4")
     m = loops[0].dim + 1 if loops else 1
     Ms = np.zeros((len(loops), 2, m, m))
     for M, loop in zip(Ms, loops):
@@ -249,8 +250,6 @@ class CycleEngine:
     """
 
     def __init__(self, loop: ClosedLoop, grid: int = 64, *, _stacks=None):
-        if grid < 4:
-            raise DomainError("grid must be at least 4")
         stacks = _stacks or _propagator_stacks([loop], grid)[0]
         if stacks is None:
             raise NumericalFailure(

@@ -129,29 +129,31 @@ class RationalTF:
     # ---- evaluation ----------------------------------------------------
 
     def __call__(self, s):
-        """Evaluate T at complex frequency ``s`` (scalar or array)."""
+        """Evaluate T at complex frequency ``s`` (scalar or array).
+
+        A scalar s gives the np.complex128 with the bits of ``T([s])[0]``.
+        """
         s = np.asarray(s, dtype=complex)
         if not self.den_order:  # a static gain; no zeros either
             return np.full(s.shape, self.scale, dtype=complex)[()]
+        z = np.atleast_1d(s)
         # numpy divides by a real w as by w + 0j, which multiplies by 1/w,
         # so s * (1/w) has the bits of s / w at a fifth of the cost.  The
         # products run left to right, num from scale and den from its
         # first factor, so T keeps the bits of the plain product form
         # scale * prod(num factors) / (prod(den factors) * s**m).
         num = self.scale
-        for f in self._factors(s, self.zeros, self.quad_zeros):
+        for f in self._factors(z, self.zeros, self.quad_zeros):
             num = num * f
         den = None
-        for f in self._factors(s, self.poles, self.quad_poles):
+        for f in self._factors(z, self.poles, self.quad_poles):
             den = f if den is None else den * f
         m = self.integrators
         if m:
-            # s has the bits of s**1 for free; s[()] is a numpy scalar for
-            # 0-d s, as s**1 is, so a scalar's product runs numpy's scalar
-            # arithmetic, which rounds some products unlike the array loop
-            s_m = s[()] if m == 1 else s**m
-            den = s_m if den is None else den * s_m
-        return num / den
+            z_m = z if m == 1 else z**m  # z has the bits of z**1
+            den = z_m if den is None else den * z_m
+        out = num / den
+        return out if s.ndim else out[0]
 
     @staticmethod
     def _factors(s, corners, quads):

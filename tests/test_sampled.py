@@ -300,6 +300,17 @@ def test_too_coarse_engine_grid_is_rejected_once(ex1):
         pole_trajectory(ex1, RLP(k_p=8.0), "k_p", [8.0, 8.5], grid=3)
 
 
+@pytest.mark.parametrize("values", [[], [8.0, 8.5]])
+def test_too_coarse_engine_grid_is_rejected_before_any_orbit_solve(
+        ex1, values, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an orbit was solved")
+
+    monkeypatch.setattr(sampled, "steady_state", no_solve)
+    with pytest.raises(DomainError, match="grid must be at least 4"):
+        pole_trajectory(ex1, RLP(k_p=8.0), "k_p", values, grid=3)
+
+
 def _pinned_sweep(which, ex1, ex2, sch2, ex3, sch4_at):
     """(params, scheme, variable, grid) of the sweeps pinned above."""
     if which == "gain":

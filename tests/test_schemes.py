@@ -592,3 +592,56 @@ def test_pinned_critical_routes_that_have_no_answer(ex1):
         acmc.critical(ex2, "D", d2)
     with pytest.raises(DomainError, match="the RL loop solves for k_p only"):
         RLP(k_p=8.0).critical(ex1, "v_s", 0.6)
+
+
+# -------------------------------------- the premise of the base-class solves
+
+
+def _six_schemes():
+    cmc_plant = dataclasses.replace(PLANT_100K, V_h=0.3)
+    ex2, acmc, _ = _lplot_config("ex2_lplot.cfg")
+    ex4, vmc3, _ = _lplot_config("ex4_lplot.cfg")
+    yield cmc_plant, CMC()
+    yield PLANT_100K, PVMC(k_p=4.0)
+    yield PLANT_100K, CFPVR(k_p=0.5)
+    yield PLANT_100K, RLP(k_p=8.0)
+    yield ex2, acmc
+    yield ex4, vmc3
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 7.3])
+@pytest.mark.parametrize("D", [0.3, 0.6])
+@pytest.mark.parametrize("params,scheme", list(_six_schemes()),
+                         ids=lambda x: type(x).__name__)
+def test_l_is_proportional_to_vs_and_kp_and_inverse_in_vm(params, scheme,
+                                                          D, lam):
+    # the base class's critical v_s, k_p and m_a are divisions by L
+    lv = scheme.lvalue(params, D)
+    scaled = [(dataclasses.replace(params, v_s=lam * params.v_s), scheme, lam),
+              (dataclasses.replace(params, V_h=params.V_l + lam * params.V_m),
+               scheme, 1.0 / lam)]
+    if hasattr(scheme, "k_p"):
+        scaled.append(
+            (params, dataclasses.replace(scheme, k_p=lam * scheme.k_p), lam))
+    for pr, sch, factor in scaled:
+        want = factor * lv
+        assert abs(sch.lvalue(pr, D) - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("variable", ["omega_p", "K_c"])
+def test_l_is_not_divided_for_other_fields(sch3, ex3, variable):
+    with pytest.raises(DomainError, match=f"VMC3 has no {variable} to solve for"):
+        sch3.critical(ex3, variable, 0.2)
+
+
+def test_compensator_zero_near_the_switching_frequency_warns(ex2, sch2):
+    D = duty_ratio(ex2, sch2)
+    wide = dataclasses.replace(sch2, z_c=ex2.omega_s / 2.0)
+    with pytest.warns(UserWarning, match="compensator zero z_c"):
+        wide.lvalue(ex2, D)
+    with pytest.warns(UserWarning, match="compensator zero z_c"):
+        wide.critical(ex2, "v_s", D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sch2.lvalue(ex2, D)
+        sch2.critical(ex2, "v_s", D)

@@ -53,8 +53,8 @@ def test_scalar_and_array_evaluation_agree():
     T = RationalTF(1.0, zeros=[1.0], poles=[3.0, 9.0], integrators=1)
     s = np.array([0.2j, 5.0j])
     both = T(s)
-    assert both[0] == pytest.approx(T(s[0]), rel=1e-15)
-    assert both[1] == pytest.approx(T(s[1]), rel=1e-15)
+    assert both[0] == T(s[0])
+    assert both[1] == T(s[1])
 
 
 def test_frozen_spot_value():
@@ -145,10 +145,9 @@ def test_evaluation_has_the_bits_of_the_product_form(T):
         got, want = T(s), _reference_eval(T, s)
         assert got.dtype == want.dtype and got.shape == s.shape
         assert np.array_equal(_bits(got), _bits(want))
-    # a scalar runs numpy's scalar arithmetic, which rounds some complex
-    # products differently from the array loops: it must match there too
+    # a scalar has the bits of a one-element array
     for s in np.concatenate([p[::150] for p in _points()]).tolist():
-        got, want = T(s), _reference_eval(T, s)
+        got, want = T(s), _reference_eval(T, np.array([s]))[0]
         assert type(got) is np.complex128
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -160,7 +159,7 @@ def test_evaluation_at_the_origin_puts_inf_and_nan_where_the_product_form_does(T
         got, want = T(s), _reference_eval(T, s)
         scalar = T(0.0)
         assert type(scalar) is np.complex128
-        assert np.array_equal(_bits(scalar), _bits(_reference_eval(T, 0.0)),
+        assert np.array_equal(_bits(scalar), _bits(_reference_eval(T, s[:1])),
                               equal_nan=True)
     assert not np.isfinite(got[:3]).any()
     assert np.array_equal(np.isnan(_bits(got)), np.isnan(_bits(want)))
