@@ -317,24 +317,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="subharmonic",
         description="Subharmonic-oscillation analysis for PWM DC-DC converters",
     )
+    flags = {"out": dict(help="output CSV path"),
+             "sweep": dict(help="var:start:stop:n[:log]"),
+             "solve_for": dict(help="parameter to solve critically"),
+             "cycles": dict(type=int, help="simulation cycle count"),
+             "terms": dict(type=int, help="series term count (0 = closed forms)")}
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("critical", "closed-form L value and critical-parameter solve"),
-        ("lplot", "L versus a swept parameter, CSV + crossing summary"),
-        ("contour", "alpha0 - alpha surface over (D, p)"),
-        ("window", "instability-window estimate for pole-bearing schemes"),
-        ("simulate", "exact switched simulation, CSV traces + classification"),
-        ("poles", "sampled-data pole trajectory along a sweep"),
+    for name, takes, helptext in (
+        ("critical", "out solve_for terms",
+         "closed-form L value and critical-parameter solve"),
+        ("lplot", "out sweep terms",
+         "L versus a swept parameter, CSV + crossing summary"),
+        ("contour", "out", "alpha0 - alpha surface over (D, p)"),
+        ("window", "out", "instability-window estimate for pole-bearing schemes"),
+        ("simulate", "out cycles",
+         "exact switched simulation, CSV traces + classification"),
+        ("poles", "out sweep", "sampled-data pole trajectory along a sweep"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to key=value config")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--sweep", help="var:start:stop:n[:log]")
-        p.add_argument("--solve-for", dest="solve_for",
-                       help="parameter to solve critically (critical command)")
-        p.add_argument("--cycles", type=int, help="simulation cycle count")
-        p.add_argument("--terms", type=int,
-                       help="series term count (0 = closed forms)")
+        for flag in takes.split():
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **flags[flag])
     return parser
 
 
@@ -353,11 +356,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         # flags override config keys and pass the same RunConfig checks
-        flags = {"sweep": parse_sweep(args.sweep) if args.sweep else None,
-                 "out": args.out or None, "solve_for": args.solve_for or None,
-                 "cycles": args.cycles, "terms": args.terms}
-        cfg = dataclasses.replace(
-            cfg, **{k: v for k, v in flags.items() if v is not None})
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config") and v not in (None, "")}
+        if "sweep" in flags:
+            flags["sweep"] = parse_sweep(flags["sweep"])
+        cfg = dataclasses.replace(cfg, **flags)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ form, critical solves and closed-loop wiring are all declared on it (see
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -143,10 +144,14 @@ def _require_vm(params: BuckParams) -> float:
 
 def _check_zc(params: BuckParams, scheme: "ACMC") -> None:
     if scheme.z_c >= params.omega_s / 2.0:
+        # attribute the warning to the first caller outside the package
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "compensator zero z_c is not small against the switching "
             "frequency; the high-frequency approximation degrades",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -192,12 +197,13 @@ class ControlScheme:
 
     - ``loop_gain_hf(params)``: its high-frequency loop gain T(s)
     - ``nominal_duty(params)``: the steady-state duty its references imply
-    - ``lvalue(params, D)``: the closed-form L at duty D (schemes with a
-      compensator pole omega_p also take the pole ratio p); D and p may be
-      arrays, and a scalar D and p give a float
+    - ``lvalue(params, D)``: the closed-form L = F[T] at duty D, of the
+      same T (schemes with a compensator pole omega_p also take the pole
+      ratio p); D and p may be arrays, and a scalar D and p give a float
     - ``critical(params, solve_for, D)``: the critical v_s, k_p, m_a or D
-      at a pinned duty D; the base class divides by L, which is
-      proportional to v_s and k_p and to 1 / V_m, and scans D
+      at a pinned duty D; L is proportional to v_s and k_p and to 1 / V_m,
+      so the base class divides v_s and k_p by L, takes the signed m_a as
+      f_s times L at a unit ramp (defined at V_m = 0 too), and scans D
     - ``wiring(params)``: the closed loop the simulator assembles
 
     ``duty_depends_on`` names the solve variables the nominal duty moves
@@ -218,13 +224,14 @@ class ControlScheme:
             if not curve.crossings:
                 raise NoRoot("L never crosses 1 over the duty range")
             return curve.crossings[0]
-        if solve_for in ("v_s", "m_a") or (
-                solve_for == "k_p" and hasattr(self, "k_p")):
+        if solve_for == "m_a":
+            # V_m L is the same at every ramp, so the boundary slope is L
+            # at a unit ramp per period; signed, and <= 0 needs no ramp
+            return self.lvalue(replace(params, V_l=0.0, V_h=1.0), D) * params.f_s
+        if solve_for == "v_s" or (solve_for == "k_p" and hasattr(self, "k_p")):
             lv = self.lvalue(params, D)
             if lv <= 0.0:
                 raise DomainError(f"L is not positive; no finite critical {solve_for}")
-            if solve_for == "m_a":
-                return params.V_m * lv * params.f_s
             return (params.v_s if solve_for == "v_s" else self.k_p) / lv
         raise DomainError(f"{type(self).__name__} has no {solve_for} to solve for")
 
@@ -251,14 +258,9 @@ class CMC(ControlScheme):
         return critical_cmc(params, D) * params.T / params.V_m
 
     def critical(self, params, solve_for, D):
-        if solve_for == "m_a":
-            return critical_cmc(params, D)
-        if solve_for == "v_s":
-            if D <= 0.5:
-                raise DomainError("for D <= 1/2 the CMC loop is stable at any v_s")
-            if params.V_m == 0.0:
-                raise DomainError("no finite critical v_s with a zero ramp")
-            return params.ramp_slope * params.L / (D - 0.5)
+        if solve_for == "v_s" and params.V_m == 0.0:
+            # the renormalized L = 2D is not proportional to v_s
+            raise DomainError("no finite critical v_s with a zero ramp")
         if solve_for == "D":
             # exact rearrangement: D = 1/2 + m_a L / v_s
             D_crit = 0.5 + params.ramp_slope * params.L / params.v_s
@@ -278,14 +280,13 @@ class PVMC(ControlScheme):
     k_p: float
 
     def loop_gain_hf(self, params):
+        """T(s) = (v_s k_p rho / V_m L C)(1 + s R_c C) / s^2, the double
+        integrator ``lvalue`` transforms; with no ESR it has no zero."""
         V_m = _require_vm(params)
         C = params.require_C()
-        if params.R_c > 0.0:
-            scale = params.v_s * self.k_p * params.rho / (V_m * params.L * C)
-            return RationalTF(scale, zeros=[1.0 / (params.R_c * C)], integrators=2)
-        # with no ESR zero the load pole at 1/RC is the next relevant feature
-        scale = params.v_s * self.k_p * params.R / (V_m * params.L)
-        return RationalTF(scale, poles=[1.0 / (params.R * C)], integrators=1)
+        scale = params.v_s * self.k_p * params.rho / (V_m * params.L * C)
+        zeros = [1.0 / (params.R_c * C)] if params.R_c > 0.0 else []
+        return RationalTF(scale, zeros=zeros, integrators=2)
 
     def nominal_duty(self, params):
         return params.v_r / params.v_s
@@ -301,12 +302,6 @@ class PVMC(ControlScheme):
             2.0 * D * D - 2.0 * D + 1.0
         )
         return _maybe_scalar(lead * bracket)
-
-    def critical(self, params, solve_for, D):
-        # the ramp bound also answers at V_m = 0, where L is undefined
-        if solve_for == "m_a":
-            return v2_min_ramp(params, self.k_p, D)
-        return super().critical(params, solve_for, D)
 
     def wiring(self, params):
         return Wiring(i_gain=0.0, v_gain=1.0, gain=self.k_p)
@@ -576,7 +571,9 @@ def v2_no_ramp_feasible_alt(params: BuckParams, D: float) -> bool:
 def critical_pvmc_smallR(params: BuckParams, k_p: float, D) -> float:
     """Critical source voltage for the no-ESR, heavy-load case.
 
-    With the load pole p = 1/(R C omega_s):
+    The one statement of the load-pole model T(s) = (v_s k_p R / V_m L) /
+    (s (1 + s R C)), which PVMC's double integrator leaves out; with the
+    load pole p = 1/(R C omega_s):
         v_s = L V_m omega_s / (R k_p (alpha0(D) - alpha(D, p))).
     """
     if params.R_c != 0.0:
@@ -692,16 +689,7 @@ def critical_acmc(params: BuckParams, scheme: ACMC, D) -> CriticalResult:
 
 def acmc_min_ramp(params: BuckParams, scheme: ACMC, D) -> float:
     """Minimum ramp slope, m_a = (v_s R_s K_c / 2 pi z_c L)(alpha0 - alpha)."""
-    D = float(D)
-    p = scheme.omega_p / params.omega_s
-    gap = alpha0(D) - alpha(D, p)
-    return (
-        params.v_s
-        * scheme.R_s
-        * scheme.K_c
-        / (2.0 * math.pi * scheme.z_c * params.L)
-        * gap
-    )
+    return scheme.critical(params, "m_a", float(D))
 
 
 def acmc_window_estimate(K: float, D) -> Tuple[float, float]:

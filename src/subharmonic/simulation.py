@@ -210,7 +210,8 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
 
     One Taylor chain serves every stage, and one batched product per grid
     step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi),
-    views of shared arrays, or None if a stage has ‖M dt‖₁ > 8.
+    views of shared arrays, or None if the loop has ‖A dt‖₁ > 8 (the b
+    column carries volts, not dynamics).
     """
     if grid < 4:
         raise DomainError("grid must be at least 4")
@@ -220,7 +221,7 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
         M[:, :-1, :-1] = loop.A
         M[:, :-1, -1] = loop.b_on, loop.b_off
         M *= loop.params.T / grid
-    stiff = (np.linalg.norm(Ms, 1, axis=(2, 3)) > 8.0).any(axis=1)
+    stiff = (np.linalg.norm(Ms[..., :-1, :-1], 1, axis=(2, 3)) > 8.0).any(axis=1)
     terms, lengths = _taylor_terms(Ms[~stiff].reshape(-1, m, m))
     E = expm(terms).reshape(-1, 2, m, m)
     Phi = np.empty((len(E), 2, grid + 1, m, m))
@@ -252,10 +253,11 @@ class CycleEngine:
     def __init__(self, loop: ClosedLoop, grid: int = 64, *, _stacks=None):
         stacks = _stacks or _propagator_stacks([loop], grid)[0]
         if stacks is None:
+            theta = np.linalg.norm(loop.A * (loop.params.T / grid), 1)
             raise NumericalFailure(
-                "stage dynamics too stiff for the per-interval series; "
-                "increase the sampling grid"
-            )
+                f"stage dynamics too stiff for the per-interval series: "
+                f"‖A dt‖₁ = {theta:.3g} > 8; a grid of "
+                f"{math.ceil(theta * grid / 8.0)} would pass")
         self.loop = loop
         self.grid = grid
         self.T = loop.params.T

@@ -346,16 +346,31 @@ def test_scheme_conditional_keys(tmp_path):
     assert "k_p" in r.stderr
 
 
-@pytest.mark.parametrize("flag,message", [
-    (("--cycles", "1"), "cycles must be at least 2"),
-    (("--terms", "-1"), "terms must be non-negative"),
+@pytest.mark.parametrize("command,cfg,flag,message", [
+    ("simulate", "ex2_sim_049.cfg", ("--cycles", "1"), "cycles must be at least 2"),
+    ("critical", "ex1_critical.cfg", ("--terms", "-1"), "terms must be non-negative"),
 ])
-def test_flag_range_rejection(tmp_path, capsys, flag, message):
+def test_flag_range_rejection(tmp_path, capsys, command, cfg, flag, message):
     out = tmp_path / "o.csv"
-    code = cli.main(["critical", "--config", config_path("ex1_critical.cfg"),
+    code = cli.main([command, "--config", config_path(cfg),
                      "--out", str(out), *flag])
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,cfg,flag", [
+    ("contour", "contour.cfg", ("--terms", "5")),
+    ("critical", "ex1_critical.cfg", ("--cycles", "80")),
+    ("poles", "ex1_poles.cfg", ("--solve-for", "k_p")),
+])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command,
+                                                    cfg, flag):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", config_path(cfg), "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Cycle-map eigenvalues, pole trajectories, and threshold bisection."""
 
 import dataclasses
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -271,15 +273,21 @@ def _as_set(ps):
     return sorted(ps.eigenvalues, key=lambda z: (z.real, z.imag))
 
 
-def test_failed_points_stay_per_point_in_a_batched_sweep(ex1):
-    # v_s = 6 pins the switch on; v_s = 600 makes the on stage too stiff
-    # for the series (|M dt| > 8), so that point's loop is left out of the
-    # batched build: both fail with the message poles() raises alone, and
-    # every other point has the eigenvalues poles() gives, to the bit
-    values = [6.0, 9.0, 600.0, 10.0, 11.0]
-    scheme = RLP(k_p=8.0)
-    traj = pole_trajectory(ex1, scheme, "v_s", values)
-    at = sweep_point(ex1, scheme, "v_s")
+@pytest.mark.parametrize("case", ["pinned", "stiff"])
+def test_failed_points_stay_per_point_in_a_batched_sweep(ex1, ex2, sch2, case):
+    # v_s = 6 pins ex1's switch on; p = 100 puts ex2's compensator pole at
+    # ‖A dt‖₁ = 9.8 > 8, too stiff for the series, so that point's loop is
+    # left out of the batched build: each fails with the message poles()
+    # raises alone, and every other point has the eigenvalues poles() gives,
+    # to the bit
+    if case == "pinned":
+        params, scheme, variable = ex1, RLP(k_p=8.0), "v_s"
+        values, bad = [6.0, 9.0, 10.0, 11.0], 6.0
+    else:
+        params, scheme, variable = ex2, sch2, "p"
+        values, bad = [0.3, 100.0, 0.5], 100.0
+    traj = pole_trajectory(params, scheme, variable, values)
+    at = sweep_point(params, scheme, variable)
     failed = []
     for k, v in enumerate(values):
         p, s, _ = at(v)
@@ -290,9 +298,32 @@ def test_failed_points_stay_per_point_in_a_batched_sweep(ex1):
             assert traj.pole_sets[k] is None
             continue
         assert _as_set(traj.pole_sets[k]) == _as_set(alone)
-    assert [v for v, _ in failed] == [6.0, 600.0]
-    assert failed[1][1].startswith("NumericalFailure: stage dynamics too stiff")
+    assert [v for v, _ in failed] == [bad]
+    if case == "stiff":
+        assert failed[0][1].startswith("NumericalFailure: stage dynamics too stiff")
     assert list(traj.errors) == failed
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(config_path("*_poles.cfg"))))
+def test_multipliers_do_not_depend_on_the_voltage_scale(name):
+    # every voltage times k scales the states by k and leaves the cycle map's
+    # multipliers alone; the engine must judge stiffness on A, not on b
+    cfg = load_config(config_path(name))
+    base = cfg.sweep.grid()
+
+    def run(k):
+        params = dataclasses.replace(
+            cfg.params, v_s=k * cfg.params.v_s, v_r=k * cfg.params.v_r,
+            V_l=k * cfg.params.V_l, V_h=k * cfg.params.V_h)
+        grid = k * base if cfg.sweep.variable == "v_s" else base
+        traj = pole_trajectory(params, cfg.scheme, cfg.sweep.variable, grid)
+        assert traj.errors == ()
+        return traj.tracks()
+
+    ref = run(1.0)
+    for k in (1e3, 1e6):
+        assert np.max(np.abs(run(k) - ref)) <= 1e-12
 
 
 def test_too_coarse_engine_grid_is_rejected_once(ex1):

@@ -47,7 +47,12 @@ from subharmonic import (
 )
 from subharmonic.schemes import grid_crossings
 from conftest import config_path
-from subharmonic.transform import alpha, alpha0, f_transform_series
+from subharmonic.transform import (
+    alpha,
+    alpha0,
+    f_transform_rational,
+    f_transform_series,
+)
 
 
 # ------------------------------------------------------------- fixed points
@@ -628,6 +633,74 @@ def test_l_is_proportional_to_vs_and_kp_and_inverse_in_vm(params, scheme,
         assert abs(sch.lvalue(pr, D) - want) <= 4 * math.ulp(want)
 
 
+def _one_model_cases():
+    ex1 = load_config(config_path("ex1_critical.cfg"))
+    ex2, acmc, _ = _lplot_config("ex2_lplot.cfg")
+    ex4, vmc3, _ = _lplot_config("ex4_lplot.cfg")
+    for R_c in (0.05, 0.0):
+        plant = dataclasses.replace(PLANT_100K, R_c=R_c)
+        yield plant, PVMC(k_p=4.0)
+        yield plant, CFPVR(k_p=0.5)
+        yield plant, CMC()
+    yield ex1.params, ex1.scheme
+    yield ex2, acmc
+    yield ex4, vmc3
+    yield dataclasses.replace(ex4, R_c=0.0), vmc3
+
+
+@pytest.mark.parametrize("params,scheme", list(_one_model_cases()),
+                         ids=lambda x: type(x).__name__)
+def test_closed_form_is_the_f_transform_of_the_scheme_loop_gain(params,
+                                                                scheme):
+    # one model per scheme: lvalue and the loop gain the series oracle sums
+    # are the same T, with or without ESR
+    T = loop_gain_hf(params, scheme)
+    for D in np.linspace(0.05, 0.95, 19):
+        F = f_transform_rational(T, D, params.omega_s)
+        assert abs(scheme.lvalue(params, D) - F) <= 1e-13 * max(1.0, abs(F))
+
+
+def _ramp_schemes():
+    ex2, acmc, _ = _lplot_config("ex2_lplot.cfg")
+    ex4, vmc3, _ = _lplot_config("ex4_lplot.cfg")
+    yield PLANT_100K, CMC()
+    yield PLANT_100K, PVMC(k_p=4.0)
+    yield PLANT_100K, CFPVR(k_p=0.5)
+    yield ex2, acmc
+    yield ex4, vmc3
+
+
+@pytest.mark.parametrize("D", [0.3, 0.6])
+@pytest.mark.parametrize("params,scheme", list(_ramp_schemes()),
+                         ids=lambda x: type(x).__name__)
+def test_critical_ramp_slope_is_one_number_at_every_ramp(params, scheme, D):
+    # V_m L does not move with V_m, so the boundary slope is the same at
+    # every ramp, a zero ramp included, where L itself is undefined
+    flat = scheme.critical(dataclasses.replace(params, V_h=params.V_l), "m_a", D)
+    for V_m in (1.0, 1.5):
+        ramp = dataclasses.replace(params, V_h=params.V_l + V_m)
+        assert abs(scheme.critical(ramp, "m_a", D) - flat) <= 4 * math.ulp(flat)
+
+
+def test_critical_ramp_slope_is_signed_where_l_is_negative():
+    # L < 0 means the loop is stable without a ramp: the boundary slope is
+    # then not positive, as critical_cmc and v2_min_ramp report it
+    ex2, acmc, _ = _lplot_config("ex2_lplot.cfg")
+    ex4, vmc3, _ = _lplot_config("ex4_lplot.cfg")
+    cases = [
+        (PLANT_100K, CMC()),
+        (dataclasses.replace(PLANT_100K, R_c=0.5), PVMC(k_p=4.0)),
+        (dataclasses.replace(PLANT_100K, R_c=0.5), CFPVR(k_p=0.5)),
+        (ex2, dataclasses.replace(acmc, omega_p=3.0 * ex2.omega_s)),
+        (ex4, dataclasses.replace(vmc3, omega_p=3.0 * ex4.omega_s)),
+    ]
+    for params, scheme in cases:
+        assert scheme.lvalue(params, 0.3) < 0.0
+        assert scheme.critical(params, "m_a", 0.3) <= 0.0
+    assert cases[-1][1].critical(ex4, "m_a", 0.3) == pytest.approx(
+        -483165.76636830287, rel=1e-12)
+
+
 @pytest.mark.parametrize("variable", ["omega_p", "K_c"])
 def test_l_is_not_divided_for_other_fields(sch3, ex3, variable):
     with pytest.raises(DomainError, match=f"VMC3 has no {variable} to solve for"):
@@ -645,3 +718,23 @@ def test_compensator_zero_near_the_switching_frequency_warns(ex2, sch2):
         warnings.simplefilter("error")
         sch2.lvalue(ex2, D)
         sch2.critical(ex2, "v_s", D)
+
+
+def test_compensator_zero_warning_names_the_caller(ex2, sch2):
+    # each public call attributes the warning to its own caller's line, so
+    # the default filter shows it once per calling line, not once in all
+    D = duty_ratio(ex2, sch2)
+    wide = dataclasses.replace(sch2, z_c=ex2.omega_s)
+    calls = [
+        lambda: closed_form_lvalue(ex2, wide, D),
+        lambda: solve_critical(ex2, wide, "v_s", duty=D),
+        lambda: lplot(ex2, wide, "D", np.linspace(0.1, 0.9, 9)),
+        lambda: wide.critical(ex2, "m_a", D),
+        lambda: acmc_min_ramp(ex2, wide, D),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            call()
+        assert seen
+        assert {w.filename for w in seen} == {__file__}

@@ -4,6 +4,7 @@ import dataclasses
 import glob
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from subharmonic import (
     CycleEngine,
     Divergence,
     DomainError,
+    NumericalFailure,
     UnsupportedStructure,
     build_closed_loop,
     cycle_jacobian,
@@ -192,6 +194,23 @@ def test_batched_stacks_stop_at_their_own_length(ex2, sch2):
     stacks = _assert_batch_matches_single_builds(loops)
     assert [(len(on), len(off)) for on, off, _ in stacks] == [(13, 12),
                                                              (14, 14)]
+
+
+def test_too_stiff_engine_names_the_norm_and_the_grid_that_passes(ex2, sch2):
+    # a compensator pole at 100 omega_s puts ‖A dt‖₁ at 9.8 on the default
+    # grid of 64; the b column, in volts, plays no part
+    loop = build_closed_loop(ex2, dataclasses.replace(
+        sch2, omega_p=100.0 * ex2.omega_s))
+    with pytest.raises(NumericalFailure) as exc:
+        CycleEngine(loop)
+    msg = str(exc.value)
+    assert msg.startswith("stage dynamics too stiff")
+    assert "‖A dt‖₁ = 9.82 > 8" in msg
+    need = int(re.search(r"a grid of (\d+) would pass", msg).group(1))
+    assert need == 79
+    CycleEngine(loop, need)
+    with pytest.raises(NumericalFailure):
+        CycleEngine(loop, need - 1)
 
 
 @pytest.mark.parametrize("name", sorted(
