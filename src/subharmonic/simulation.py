@@ -224,12 +224,13 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
     stiff = (np.linalg.norm(Ms[..., :-1, :-1], 1, axis=(2, 3)) > 8.0).any(axis=1)
     terms, lengths = _taylor_terms(Ms[~stiff].reshape(-1, m, m))
     E = expm(terms).reshape(-1, 2, m, m)
-    Phi = np.empty((len(E), 2, grid + 1, m, m))
-    Phi[:, :, 0] = np.eye(m)
+    # grid step first, so each step writes one contiguous slice
+    Phi = np.empty((grid + 1,) + E.shape)
+    Phi[0] = np.eye(m)
     for j in range(grid):
-        np.matmul(E, Phi[:, :, j], out=Phi[:, :, j + 1])
+        np.matmul(E, Phi[j], out=Phi[j + 1])
     rows = [t[:k].reshape(-1, m * m) for t, k in zip(terms, lengths.tolist())]
-    built = zip(rows[::2], rows[1::2], Phi)
+    built = zip(rows[::2], rows[1::2], np.moveaxis(Phi, 0, 2))
     return [None if s else next(built) for s in stiff.tolist()]
 
 
