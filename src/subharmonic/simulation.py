@@ -4,11 +4,12 @@ Each switching cycle has two affine stages (switch on, switch off) under
 trailing-edge PWM: the cycle starts in the on stage and commutes at the
 first crossing of the compensator output with the ramp.  Within a stage
 the dynamics ẋ = Ax + b is integrated exactly with matrix exponentials;
-only the crossing localization is iterative, refined well below 1e-13 of
-a period.  ``CycleEngine`` runs a cycle along one path, which the plain,
-Jacobian and dense steps share, so all three give the same x(T) to the
-bit.  The stroboscopic sequence x(nT) is the ground truth used for
-subharmonic (period-doubling) detection.
+only the crossing localization is iterative, a Newton solve to rounding
+level.  Both stages share A, so a cycle's x(T) is a fixed map of x plus a
+polynomial in the crossing fraction.  ``CycleEngine`` runs a cycle along
+one path, which the plain, Jacobian and dense steps share, so all three
+give the same x(T) to the bit.  The stroboscopic sequence x(nT) is the
+ground truth used for subharmonic (period-doubling) detection.
 """
 
 from __future__ import annotations
@@ -206,12 +207,17 @@ def expm(terms: np.ndarray) -> np.ndarray:
 
 
 def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
-    """Both stages' Taylor stacks and Phi grids for loops of one dimension.
+    """Both stages' Taylor stacks, Phi grids and cycle maps for loops of
+    one dimension.
 
     One Taylor chain serves every stage, and one batched product per grid
-    step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi),
-    views of shared arrays, or None if the loop has ‖A dt‖₁ > 8 (the b
-    column carries volts, not dynamics).
+    step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi,
+    C, W), or None if the loop has ‖A dt‖₁ > 8 (the b column carries
+    volts, not dynamics).  C[i] = Phi_off[grid - i] @ Phi_on[i] is the
+    cycle that switches at t_i.  The stages share A, so one that switches
+    at fraction u of cell i ends at C[i, :n] @ x_aug - W[i] @ (1 - u)**l:
+    W[i] = Phi_off[grid - i][:n, :n] @ V.T with V[l] the top of
+    (P_on[l] - P_off[l])[:, n], the series of G((1 - u) dt) (b_on - b_off).
     """
     if grid < 4:
         raise DomainError("grid must be at least 4")
@@ -230,7 +236,12 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
     for j in range(grid):
         np.matmul(E, Phi[j], out=Phi[j + 1])
     rows = [t[:k].reshape(-1, m * m) for t, k in zip(terms, lengths.tolist())]
-    built = zip(rows[::2], rows[1::2], np.moveaxis(Phi, 0, 2))
+    C = Phi[::-1, :, 1] @ Phi[:, :, 0]
+    V = terms[::2, :, :-1, -1] - terms[1::2, :, :-1, -1]
+    W = [Phi[::-1, j, 1, :-1, :-1] @ V[j, :k].T
+         for j, k in enumerate(np.maximum(lengths[::2], lengths[1::2]).tolist())]
+    built = zip(rows[::2], rows[1::2], np.moveaxis(Phi, 0, 2),
+                np.moveaxis(C, 0, 1), W)
     return [None if s else next(built) for s in stiff.tolist()]
 
 
@@ -241,14 +252,14 @@ class CycleEngine:
     every propagation step is a matrix exponential, so grid only affects
     which sign change is seen first, not the accuracy of the states.
     Whole cells propagate through the stacks Phi_on[j] = e^{M_on j dt}
-    and Phi_off[j]; the cell that holds the switching instant propagates
-    through the Taylor series of each stage summed over its fraction of
-    the cell.  ``step``, ``step_jacobian`` and ``step_dense`` all run
-    that one propagation, so they return bit-identical (x(T), duty).
-    The crossing polynomial is evaluated on Python floats, not numpy
-    scalars: the same IEEE operations at a fifth of the cost per call.
-    The stacks come from ``_propagator_stacks``, for this loop alone or
-    (via _stacks) from one batch built for a sweep: the same bits.
+    and Phi_off[j].  A cycle that switches at fraction u of cell i ends
+    at C[i, :n] @ x_aug - W[i] @ (1 - u)**l, the cycle maps of
+    ``_propagator_stacks``; the Taylor series of each stage over its part
+    of the cell are summed only for the Jacobian.  ``step``,
+    ``step_jacobian`` and ``step_dense`` all run that one cycle, so they
+    return bit-identical (x(T), duty).  The stacks come from
+    ``_propagator_stacks``, for this loop alone or (via _stacks) from one
+    batch built for a sweep: the same bits.
     """
 
     def __init__(self, loop: ClosedLoop, grid: int = 64, *, _stacks=None):
@@ -269,9 +280,10 @@ class CycleEngine:
         # each stage's Taylor stack, flattened into rows so the propagator
         # over any fraction u of a cell is the one product u**k @ rows,
         # with the exponents k built here once
-        self._P_on_rows, self._P_off_rows, Phi = stacks
+        self._P_on_rows, self._P_off_rows, Phi, self.C, self.W = stacks
         self._k_on = np.arange(len(self._P_on_rows))
         self._k_off = np.arange(len(self._P_off_rows))
+        self._k_W = np.arange(self.W.shape[-1])
         self.Phi_on, self.Phi_off = Phi
 
         self.y_aug = np.append(loop.y_row, loop.y_const)
@@ -281,68 +293,78 @@ class CycleEngine:
         p = loop.params
         self.h_grid = p.V_l + p.V_m * np.arange(grid + 1) / grid
         self.h_slope_dt = p.V_m / grid
-        # root tolerance in subinterval units, 1e-13 T: the crossing's
-        # and the orbit duty's
+        # the orbit duty's root tolerance in subinterval units, 1e-13 T
         self.u_tol = 1e-13 * self.T / self.dt
         # (x, J): the last period-1 orbit steady_state solved on this
         # engine and the exact cycle-map Jacobian there
         self.orbit = (None, None)
 
-    def _crossing_in_cell(self, i: int, x_aug: np.ndarray) -> Tuple[float, np.ndarray]:
+    def _crossing_in_cell(self, i: int, x_aug: np.ndarray, gap_lo: float,
+                          gap_hi: float) -> Tuple[float, np.ndarray]:
         """Refine the crossing inside (t_{i-1}, t_i]; returns (u*, x(t_{i-1})).
 
-        y - h over the cell is a polynomial in u, evaluated by Horner on
-        Python floats: brentq calls it about 8 times per crossing, and
-        numpy scalars would cost five times as much for the same bits.
-        brentq raises NumericalFailure if it has one sign over the cell.
+        y - h over the cell is a polynomial in u.  One Horner loop on
+        Python floats gives its value and slope (numpy scalars would cost
+        five times as much for the same bits).  A safeguarded Newton solve
+        starts where the line through the grid gaps gap_lo > 0 >= gap_hi
+        meets zero, keeps the bracket [lo, hi] by the sign of each value,
+        and bisects when a step leaves it; a step onto a bracket end is
+        taken.  It returns after a Newton step of at most 1e-9, whose
+        quadratic error is far below rounding: about three evaluations.
+        It never starts from an earlier cycle's u, so a cycle depends
+        only on the bits of its starting state.  A polynomial that has not
+        settled in 100 evaluations (one that is NaN, say) raises
+        NoConvergence.
         """
         x_base = self.Phi_on[i - 1] @ x_aug
         coeffs = (self.yP_on @ x_base)[::-1].tolist()
         h0 = float(self.h_grid[i - 1])
         slope = self.h_slope_dt
-
-        def g(u):
-            acc = 0.0
+        lo, hi = 0.0, 1.0
+        u = gap_lo / (gap_lo - gap_hi)
+        for _ in range(100):
+            g = dg = 0.0
             for c in coeffs:
-                acc = acc * u + c
-            return acc - h0 - slope * u
-
-        u = brentq(g, 0.0, 1.0, xtol=self.u_tol, rtol=8.9e-16)
-        return u, x_base
+                dg = dg * u + g
+                g = g * u + c
+            g = g - h0 - slope * u
+            lo, hi = (u, hi) if g > 0.0 else (lo, u)
+            dg -= slope
+            step = g / dg if dg else 2.0  # a flat slope bisects
+            if not lo <= u - step <= hi:
+                u = 0.5 * (lo + hi)
+            elif abs(step) <= 1e-9:
+                return u - step, x_base
+            else:
+                u -= step
+        raise NoConvergence(f"crossing: no convergence in 100 steps, at {u!r}")
 
     def _cycle(self, x: np.ndarray):
         """Run the cycle that starts at x once.
 
         Returns (x(T), duty, x_aug, cell): x_aug is x with the constant 1
         appended, and cell is None for a saturated cycle, else
-        (i, S_on, x_star, x_cell, Phi_end): the switch turns off inside
-        cell i, S_on propagates over the on part of that cell, x_star is
-        the augmented state at the switching instant, x_cell the one at
-        the end of the cell, and Phi_end propagates from t* to T.
+        (i, u, x_base): the switch turns off at fraction u of cell i,
+        whose start has the augmented state x_base.  x(T) comes from the
+        cycle maps C and W alone.
         """
-        m = self.n + 1
-        x_aug = np.empty(m)
+        x_aug = np.empty(self.n + 1)
         x_aug[:-1] = x
         x_aug[-1] = 1.0
         # the switch turns off in the first cell whose end has y <= h
-        below = self.yPhi_on @ x_aug - self.h_grid <= 0.0
+        gap = self.yPhi_on @ x_aug - self.h_grid
+        below = gap <= 0.0
         i = int(below.argmax())
         if i == 0:
             # saturated: y <= h at t = 0, so the switch never turns on,
             # or y > h over the whole grid, so it never turns off
             duty = 0.0 if below[0] else 1.0
             out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
-            return out[:-1] / out[-1], duty, x_aug, None
-        u, x_base = self._crossing_in_cell(i, x_aug)
-        duty = (i - 1 + u) / self.grid
-        S_on = (u ** self._k_on @ self._P_on_rows).reshape(m, m)
-        S_off = ((1.0 - u) ** self._k_off @ self._P_off_rows).reshape(m, m)
-        x_star = S_on @ x_base
-        # x(T) through Phi_end, the propagator the Jacobian is built on
-        Phi_end = self.Phi_off[self.grid - i] @ S_off
-        out = Phi_end @ x_star
-        cell = (i, S_on, x_star, S_off @ x_star, Phi_end)
-        return out[:-1] / out[-1], duty, x_aug, cell
+            return out[:-1], duty, x_aug, None
+        u, x_base = self._crossing_in_cell(i, x_aug, float(gap[i - 1]),
+                                           float(gap[i]))
+        x_T = self.C[i, :-1] @ x_aug - self.W[i] @ (1.0 - u) ** self._k_W
+        return x_T, (i - 1 + u) / self.grid, x_aug, (i, u, x_base)
 
     def step(self, x: np.ndarray) -> Tuple[np.ndarray, float]:
         """One exact switching period: returns (x(T), duty)."""
@@ -371,8 +393,11 @@ class CycleEngine:
         x_T, duty, _, cell = self._cycle(x)
         if cell is None:
             return x_T, duty, None
-        i, S_on, x_star, _, Phi_end = cell
+        i, u, x_base = cell
         loop, n = self.loop, self.n
+        S_on = (u ** self._k_on @ self._P_on_rows).reshape(n + 1, n + 1)
+        S_off = ((1.0 - u) ** self._k_off @ self._P_off_rows).reshape(n + 1, n + 1)
+        x_star = S_on @ x_base
         f_on = loop.A @ x_star[:n] + loop.b_on
         rate = self.dt * (loop.y_row @ f_on) - self.h_slope_dt
         scale = self.dt * (np.abs(loop.y_row) @ np.abs(f_on)) + abs(self.h_slope_dt)
@@ -384,6 +409,7 @@ class CycleEngine:
         Phi_star = (S_on @ self.Phi_on[i - 1])[:n, :n]
         jump = self.dt * (loop.b_on - loop.b_off)
         saltated = Phi_star - np.outer(jump / rate, loop.y_row @ Phi_star)
+        Phi_end = self.Phi_off[self.grid - i] @ S_off
         return x_T, duty, Phi_end[:n, :n] @ saltated
 
     def step_dense(self, x: np.ndarray):
@@ -398,7 +424,10 @@ class CycleEngine:
             # samples are taken) or every sample off, starting from x_aug
             i, x_cell = (self.grid if duty else 0), x_aug
         else:
-            i, _, _, x_cell, _ = cell
+            # x(t_i): the on stage's, less the partial cell; W[grid] is V.T
+            i, u, _ = cell
+            x_cell = self.Phi_on[i] @ x_aug
+            x_cell[:-1] -= self.W[self.grid] @ (1.0 - u) ** self._k_W
         xs = np.concatenate((self.Phi_on[:i] @ x_aug,
                              self.Phi_off[:self.grid - i] @ x_cell))[:, :-1]
         vds = np.where(np.arange(self.grid) < i, self.loop.params.v_s, 0.0)
@@ -642,21 +671,20 @@ def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
         cycle[..., n, n] -= h
         return cycle
 
-    def M_at(i, u):
-        # M(d) for d at fraction u of cell i, through the partial-cell stacks
-        S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
-        S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
-        on = S_on @ eng.Phi_on[i - 1]
-        return close(eng.Phi_off[grid - i] @ S_off @ on, eng.y_aug @ on,
+    def M_at(i, u, y_on):
+        # M(d) at fraction u of cell i; y_on's rows are y P_on[l] Phi_on[i - 1]
+        cycle = eng.C[i].copy()
+        cycle[:n, n] -= eng.W[i] @ (1.0 - u) ** eng._k_W
+        return close(cycle, u ** eng._k_on @ y_on,
                      eng.h_grid[i - 1] + eng.h_slope_dt * u)
 
-    dets = np.linalg.det(close(eng.Phi_off[::-1] @ eng.Phi_on, eng.yPhi_on,
-                               eng.h_grid))
+    dets = np.linalg.det(close(eng.C.copy(), eng.yPhi_on, eng.h_grid))
     found = []
     for i in (np.nonzero((dets[:-1] > 0.0) != (dets[1:] > 0.0))[0] + 1).tolist():
-        u = brentq(lambda u: np.linalg.det(M_at(i, u)), 0.0, 1.0,
+        y_on = eng.yP_on @ eng.Phi_on[i - 1]
+        u = brentq(lambda u: np.linalg.det(M_at(i, u, y_on)), 0.0, 1.0,
                    xtol=eng.u_tol, rtol=8.9e-16)
-        z = np.linalg.svd(M_at(i, u))[2][-1]
+        z = np.linalg.svd(M_at(i, u, y_on))[2][-1]
         found.append((z[:n] / z[n], (i - 1 + u) / grid))
     return found
 
@@ -675,9 +703,9 @@ def steady_state(
     propagator Phi_off((1-d)T) Phi_on(dT) less [I 0], and its last row is
     y Phi_on(dT) less h(d) on the constant.  This one condition covers
     loops with and without an integrator.  det M is scanned over the
-    engine's grid, each sign change is refined by brentq inside its cell
-    on the partial-cell Taylor stacks, as ``CycleEngine`` refines the
-    crossing itself, and x is the null vector of M at the root.
+    engine's cycle maps C, each sign change is refined by brentq inside
+    its cell, where W carries the partial cell, and x is the null vector
+    of M at the root.
 
     One exact Newton step with ``step_jacobian`` polishes x and a second
     call confirms it: the residual is within 1e-12 (1 + max|x|), the

@@ -6,6 +6,7 @@ import math
 import os
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -29,7 +30,6 @@ from subharmonic import (
     steady_state,
     step_cycle,
 )
-from subharmonic._roots import brentq
 from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
 from subharmonic.simulation import _propagator_stacks
@@ -63,6 +63,10 @@ def test_repeated_compensator_poles_rejected(ex3):
 
 
 # ----------------------------------------------------- single-cycle stepping
+
+
+SIM_CONFIGS = sorted(
+    os.path.basename(p) for p in glob.glob(config_path("*_sim*.cfg")))
 
 
 def test_first_order_cycle_against_closed_form(ex1, rlp8):
@@ -112,8 +116,7 @@ def _assert_one_propagation(eng, states):
         assert np.array_equal(xs[0], x), x
 
 
-@pytest.mark.parametrize("name", sorted(
-    os.path.basename(p) for p in glob.glob(config_path("*_sim*.cfg"))))
+@pytest.mark.parametrize("name", SIM_CONFIGS)
 def test_steps_share_one_propagation_on_config_runs(name):
     cfg = load_config(config_path(name))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
@@ -149,8 +152,8 @@ def test_batched_grids_match_one_product_at_a_time(name, ex1, ex2, sch2, ex3,
 
 POLES_CONFIGS = sorted(
     os.path.basename(p) for p in glob.glob(config_path("*_poles.cfg")))
-ENGINE_ARRAYS = ("Phi_on", "Phi_off", "_P_on_rows", "_P_off_rows", "yPhi_on",
-                 "yP_on")
+ENGINE_ARRAYS = ("Phi_on", "Phi_off", "_P_on_rows", "_P_off_rows", "C", "W",
+                 "yPhi_on", "yP_on")
 
 
 def _assert_batch_matches_single_builds(loops):
@@ -188,12 +191,13 @@ def test_batched_build_matches_single_builds_on_scenarios(ex1, ex2, sch2, ex3,
 
 def test_batched_stacks_stop_at_their_own_length(ex2, sch2):
     # the two averaged-current loops need 13/12 and 14/14 Taylor terms: one
-    # chain runs to 14, and each stage keeps only its own prefix
+    # chain runs to 14, each stage keeps only its own prefix, and W spans
+    # the longer of a loop's two stacks
     loops = [build_closed_loop(ex2, dataclasses.replace(
         sch2, omega_p=ratio * ex2.omega_s)) for ratio in (0.49, 0.81)]
     stacks = _assert_batch_matches_single_builds(loops)
-    assert [(len(on), len(off)) for on, off, _ in stacks] == [(13, 12),
-                                                             (14, 14)]
+    assert [(len(on), len(off), W.shape[-1])
+            for on, off, _, _, W in stacks] == [(13, 12, 13), (14, 14, 14)]
 
 
 def test_too_stiff_engine_names_the_norm_and_the_grid_that_passes(ex2, sch2):
@@ -234,31 +238,28 @@ def test_taylor_stack_drops_only_a_negligible_tail(name):
 
 
 def _assert_crossing_bits(eng, states):
-    # the crossing polynomial on numpy scalars, as it was first written:
-    # the engine's Python-float evaluation must give brentq the same u
+    # the engine's u is within 2e-15 cell units of the root of its own
+    # crossing polynomial, found in 40-digit arithmetic from the same
+    # float coefficients
     crossings = 0
     for x in states:
-        _, _, x_aug, cell = eng._cycle(x)
+        _, _, _, cell = eng._cycle(x)
         if cell is None:
             continue
-        i = cell[0]
-        u, _ = eng._crossing_in_cell(i, x_aug)
-        coeffs = eng.yP_on @ (eng.Phi_on[i - 1] @ x_aug)
-        h0 = eng.h_grid[i - 1]
-
-        def g(v):
-            acc = 0.0
-            for c in coeffs[::-1]:
-                acc = acc * v + c
-            return acc - h0 - eng.h_slope_dt * v
-
-        assert brentq(g, 0.0, 1.0, xtol=eng.u_tol, rtol=8.9e-16) == u, x
+        _, u, x_base = cell
+        with mpmath.workdps(40):
+            coeffs = [mpmath.mpf(c) for c in (eng.yP_on @ x_base)[::-1]]
+            h0, slope = mpmath.mpf(eng.h_grid[cell[0] - 1]), mpmath.mpf(
+                eng.h_slope_dt)
+            root = mpmath.findroot(
+                lambda v: mpmath.polyval(coeffs, v) - h0 - slope * v,
+                mpmath.mpf(u))
+            assert abs(root - u) <= 2e-15, x
         crossings += 1
     assert crossings > 0
 
 
-@pytest.mark.parametrize("name", sorted(
-    os.path.basename(p) for p in glob.glob(config_path("*_sim*.cfg"))))
+@pytest.mark.parametrize("name", SIM_CONFIGS)
 def test_crossing_bits_on_config_runs(name):
     cfg = load_config(config_path(name))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
@@ -272,6 +273,58 @@ def test_crossing_bits_at_orbits(name, ex1, ex2, sch2, ex3, sch4_at):
     eng = CycleEngine(build_closed_loop(params, scheme))
     x, _ = steady_state(params, scheme, engine=eng)
     _assert_crossing_bits(eng, [x])
+
+
+def _assert_cycle_map(eng, states):
+    # x(T) from the cycle maps C and W is the product of the stage
+    # propagators through the switching instant, to rounding
+    m, crossings = eng.n + 1, 0
+    for x in states:
+        x_T, _, _, cell = eng._cycle(x)
+        if cell is None:
+            continue
+        i, u, x_base = cell
+        S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
+        S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
+        want = (eng.Phi_off[eng.grid - i] @ S_off @ (S_on @ x_base))[:-1]
+        assert np.max(np.abs(x_T - want)) <= 1e-13 * np.max(np.abs(want)), x
+        crossings += 1
+    assert crossings > 0
+
+
+@pytest.mark.parametrize("name", SIM_CONFIGS)
+def test_cycle_map_matches_the_stage_product_on_config_runs(name):
+    cfg = load_config(config_path(name))
+    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    _assert_cycle_map(eng, tr.strobe[-40:])
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_cycle_map_matches_the_stage_product_at_orbits(name, ex1, ex2, sch2,
+                                                       ex3, sch4_at):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng = CycleEngine(build_closed_loop(params, scheme))
+    x, _ = steady_state(params, scheme, engine=eng)
+    _assert_cycle_map(eng, [x])
+
+
+@pytest.mark.parametrize("name", SIM_CONFIGS)
+def test_step_depends_only_on_its_own_state(name):
+    # no cycle starts from what an earlier one found: each state steps to
+    # the same bits on a fresh engine, in either order and after an
+    # unrelated state, which the copied strobe of simulate relies on
+    cfg = load_config(config_path(name))
+    loop = build_closed_loop(cfg.params, cfg.scheme)
+    eng = CycleEngine(loop)
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    states = tr.strobe[-40:]
+    forward = [eng.step(x) for x in states]
+    backward = [eng.step(x) for x in states[::-1]][::-1]
+    for x, a, b in zip(states, forward, backward):
+        eng.step(tr.strobe[0])
+        for x_T, duty in (b, eng.step(x), CycleEngine(loop).step(x)):
+            assert np.array_equal(x_T, a[0]) and duty == a[1], x
 
 
 # ----------------------------------------------------------- full runs
