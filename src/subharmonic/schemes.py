@@ -203,7 +203,9 @@ class ControlScheme:
     - ``critical(params, solve_for, D)``: the critical v_s, k_p, m_a or D
       at a pinned duty D; L is proportional to v_s and k_p and to 1 / V_m,
       so the base class divides v_s and k_p by L, takes the signed m_a as
-      f_s times L at a unit ramp (defined at V_m = 0 too), and scans D
+      f_s times L at a unit ramp (defined at V_m = 0 too), and scans D;
+      a scheme overrides ``_critical``, which also takes L at D when the
+      caller holds it, so no solve evaluates L twice at one duty
     - ``wiring(params)``: the closed loop the simulator assembles
 
     ``duty_depends_on`` names the solve variables the nominal duty moves
@@ -219,6 +221,10 @@ class ControlScheme:
                 raise DomainError(f"{name} must be positive")
 
     def critical(self, params: BuckParams, solve_for: str, D: float) -> float:
+        return self._critical(params, solve_for, D, None)
+
+    def _critical(self, params, solve_for, D, lv):
+        # lv is L at D when the caller holds it already, else None
         if solve_for == "D":
             curve = lplot(params, self, "D", np.linspace(1e-3, 1.0 - 1e-3, 512))
             if not curve.crossings:
@@ -229,7 +235,8 @@ class ControlScheme:
             # at a unit ramp per period; signed, and <= 0 needs no ramp
             return self.lvalue(replace(params, V_l=0.0, V_h=1.0), D) * params.f_s
         if solve_for == "v_s" or (solve_for == "k_p" and hasattr(self, "k_p")):
-            lv = self.lvalue(params, D)
+            if lv is None:
+                lv = self.lvalue(params, D)
             if lv <= 0.0:
                 raise DomainError(f"L is not positive; no finite critical {solve_for}")
             return (params.v_s if solve_for == "v_s" else self.k_p) / lv
@@ -257,7 +264,7 @@ class CMC(ControlScheme):
             return _maybe_scalar(2.0 * D)
         return critical_cmc(params, D) * params.T / params.V_m
 
-    def critical(self, params, solve_for, D):
+    def _critical(self, params, solve_for, D, lv):
         if solve_for == "v_s" and params.V_m == 0.0:
             # the renormalized L = 2D is not proportional to v_s
             raise DomainError("no finite critical v_s with a zero ramp")
@@ -267,7 +274,7 @@ class CMC(ControlScheme):
             if D_crit > 1.0:
                 raise DomainError("ramp strong enough that no critical D exists")
             return D_crit
-        return super().critical(params, solve_for, D)
+        return super()._critical(params, solve_for, D, lv)
 
     def wiring(self, params):
         return Wiring(i_gain=1.0, v_gain=0.0, gain=1.0)
@@ -345,12 +352,12 @@ class RLP(ControlScheme):
         p = params.R / (params.L * params.omega_s)
         return params.v_s * self.k_p * p * alpha(D, p) / V_m
 
-    def critical(self, params, solve_for, D):
+    def _critical(self, params, solve_for, D, lv):
         if solve_for == "k_p":
             return rlp_critical_kp(params)[0]
         if solve_for != "D":
             raise DomainError("the RL loop solves for k_p only")
-        return super().critical(params, solve_for, D)
+        return super()._critical(params, solve_for, D, lv)
 
     def wiring(self, params):
         return Wiring(i_gain=0.0, v_gain=1.0, gain=self.k_p, rl_plant=True)
@@ -683,7 +690,7 @@ def critical_acmc(params: BuckParams, scheme: ACMC, D) -> CriticalResult:
     """
     D = float(D)
     lv = scheme.lvalue(params, D)
-    crit_vs = scheme.critical(params, "v_s", D) if lv > 0.0 else None
+    crit_vs = scheme._critical(params, "v_s", D, lv) if lv > 0.0 else None
     return CriticalResult(lvalue=lv, critical_value=crit_vs)
 
 
@@ -734,8 +741,9 @@ def critical_vmc3(params: BuckParams, scheme: VMC3, D) -> CriticalResult:
     p = omega_p / omega_s; lvalue is K (alpha0 - alpha) at the present v_s.
     """
     D = float(D)
-    crit_vs = scheme.critical(params, "v_s", D)
-    return CriticalResult(lvalue=scheme.lvalue(params, D), critical_value=crit_vs)
+    lv = scheme.lvalue(params, D)
+    return CriticalResult(lvalue=lv,
+                          critical_value=scheme._critical(params, "v_s", D, lv))
 
 
 # ---------------------------------------------------------------------------
@@ -924,5 +932,5 @@ def solve_critical(
     if duty is None and solve_for in scheme.duty_depends_on:
         value = _solve_coupled(params, scheme, solve_for)
     else:
-        value = scheme.critical(params, solve_for, D)
+        value = scheme._critical(params, solve_for, D, lv)
     return CriticalResult(lvalue=lv, critical_value=value)

@@ -45,6 +45,7 @@ from subharmonic import (
     v2_no_ramp_threshold,
     vmc3_gain,
 )
+from subharmonic import schemes
 from subharmonic.schemes import grid_crossings
 from conftest import config_path
 from subharmonic.transform import (
@@ -699,6 +700,25 @@ def test_critical_ramp_slope_is_signed_where_l_is_negative():
         assert scheme.critical(params, "m_a", 0.3) <= 0.0
     assert cases[-1][1].critical(ex4, "m_a", 0.3) == pytest.approx(
         -483165.76636830287, rel=1e-12)
+
+
+def test_critical_values_evaluate_l_once(monkeypatch, ex2, sch2, ex3, sch3):
+    # L at the duty is evaluated once, for the reported L and the critical
+    # v_s alike; counted through alpha, as schemes calls it
+    calls = []
+    alpha = schemes.alpha
+    monkeypatch.setattr(schemes, "alpha",
+                        lambda *args: calls.append(args) or alpha(*args))
+    runs = [
+        lambda: solve_critical(ex2, sch2, "v_s", 0.3),
+        lambda: critical_acmc(ex2, sch2, 0.3),
+        lambda: solve_critical(ex3, sch3, "v_s", 0.3),
+        lambda: critical_vmc3(ex3, sch3, 0.3),
+    ]
+    for run in runs:
+        calls.clear()
+        assert run().critical_value > 0.0
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("variable", ["omega_p", "K_c"])
