@@ -300,8 +300,8 @@ class CycleEngine:
         self.orbit = (None, None)
 
     def _crossing_in_cell(self, i: int, x_aug: np.ndarray, gap_lo: float,
-                          gap_hi: float) -> Tuple[float, np.ndarray]:
-        """Refine the crossing inside (t_{i-1}, t_i]; returns (u*, x(t_{i-1})).
+                          gap_hi: float) -> float:
+        """Refine the crossing inside (t_{i-1}, t_i] to its fraction u*.
 
         y - h over the cell is a polynomial in u.  One Horner loop on
         Python floats gives its value and slope (numpy scalars would cost
@@ -316,8 +316,7 @@ class CycleEngine:
         settled in 100 evaluations (one that is NaN, say) raises
         NoConvergence.
         """
-        x_base = self.Phi_on[i - 1] @ x_aug
-        coeffs = (self.yP_on @ x_base)[::-1].tolist()
+        coeffs = (self.yP_on @ (self.Phi_on[i - 1] @ x_aug))[::-1].tolist()
         h0 = float(self.h_grid[i - 1])
         slope = self.h_slope_dt
         lo, hi = 0.0, 1.0
@@ -334,7 +333,7 @@ class CycleEngine:
             if not lo <= u - step <= hi:
                 u = 0.5 * (lo + hi)
             elif abs(step) <= 1e-9:
-                return u - step, x_base
+                return u - step
             else:
                 u -= step
         raise NoConvergence(f"crossing: no convergence in 100 steps, at {u!r}")
@@ -344,9 +343,8 @@ class CycleEngine:
 
         Returns (x(T), duty, x_aug, cell): x_aug is x with the constant 1
         appended, and cell is None for a saturated cycle, else
-        (i, u, x_base): the switch turns off at fraction u of cell i,
-        whose start has the augmented state x_base.  x(T) comes from the
-        cycle maps C and W alone.
+        (i, u): the switch turns off at fraction u of cell i.  x(T) comes
+        from the cycle maps C and W alone.
         """
         x_aug = np.empty(self.n + 1)
         x_aug[:-1] = x
@@ -361,10 +359,9 @@ class CycleEngine:
             duty = 0.0 if below[0] else 1.0
             out = (self.Phi_on if duty else self.Phi_off)[self.grid] @ x_aug
             return out[:-1], duty, x_aug, None
-        u, x_base = self._crossing_in_cell(i, x_aug, float(gap[i - 1]),
-                                           float(gap[i]))
+        u = self._crossing_in_cell(i, x_aug, float(gap[i - 1]), float(gap[i]))
         x_T = self.C[i, :-1] @ x_aug - self.W[i] @ (1.0 - u) ** self._k_W
-        return x_T, (i - 1 + u) / self.grid, x_aug, (i, u, x_base)
+        return x_T, (i - 1 + u) / self.grid, x_aug, (i, u)
 
     def step(self, x: np.ndarray) -> Tuple[np.ndarray, float]:
         """One exact switching period: returns (x(T), duty)."""
@@ -390,14 +387,15 @@ class CycleEngine:
         when the crossing grazes the ramp (rate = 0), where the map has
         no derivative.
         """
-        x_T, duty, _, cell = self._cycle(x)
+        x_T, duty, x_aug, cell = self._cycle(x)
         if cell is None:
             return x_T, duty, None
-        i, u, x_base = cell
-        loop, n = self.loop, self.n
-        S_on = (u ** self._k_on @ self._P_on_rows).reshape(n + 1, n + 1)
-        S_off = ((1.0 - u) ** self._k_off @ self._P_off_rows).reshape(n + 1, n + 1)
-        x_star = S_on @ x_base
+        i, u = cell
+        loop, n, m = self.loop, self.n, self.n + 1
+        # propagators from t = 0 to t* and from t* to the cell's end
+        on = (u ** self._k_on @ self._P_on_rows).reshape(m, m) @ self.Phi_on[i - 1]
+        S_off = ((1.0 - u) ** self._k_off @ self._P_off_rows).reshape(m, m)
+        x_star = on @ x_aug
         f_on = loop.A @ x_star[:n] + loop.b_on
         rate = self.dt * (loop.y_row @ f_on) - self.h_slope_dt
         scale = self.dt * (np.abs(loop.y_row) @ np.abs(f_on)) + abs(self.h_slope_dt)
@@ -406,7 +404,7 @@ class CycleEngine:
                 "the crossing grazes the ramp; the cycle map has no "
                 "derivative there"
             )
-        Phi_star = (S_on @ self.Phi_on[i - 1])[:n, :n]
+        Phi_star = on[:n, :n]
         jump = self.dt * (loop.b_on - loop.b_off)
         saltated = Phi_star - np.outer(jump / rate, loop.y_row @ Phi_star)
         Phi_end = self.Phi_off[self.grid - i] @ S_off
@@ -425,7 +423,7 @@ class CycleEngine:
             i, x_cell = (self.grid if duty else 0), x_aug
         else:
             # x(t_i): the on stage's, less the partial cell; W[grid] is V.T
-            i, u, _ = cell
+            i, u = cell
             x_cell = self.Phi_on[i] @ x_aug
             x_cell[:-1] -= self.W[self.grid] @ (1.0 - u) ** self._k_W
         xs = np.concatenate((self.Phi_on[:i] @ x_aug,

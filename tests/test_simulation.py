@@ -243,14 +243,15 @@ def _assert_crossing_bits(eng, states):
     # float coefficients
     crossings = 0
     for x in states:
-        _, _, _, cell = eng._cycle(x)
+        _, _, x_aug, cell = eng._cycle(x)
         if cell is None:
             continue
-        _, u, x_base = cell
+        i, u = cell
         with mpmath.workdps(40):
-            coeffs = [mpmath.mpf(c) for c in (eng.yP_on @ x_base)[::-1]]
-            h0, slope = mpmath.mpf(eng.h_grid[cell[0] - 1]), mpmath.mpf(
-                eng.h_slope_dt)
+            coeffs = [mpmath.mpf(c) for c in
+                      (eng.yP_on @ (eng.Phi_on[i - 1] @ x_aug))[::-1]]
+            h0 = mpmath.mpf(eng.h_grid[i - 1])
+            slope = mpmath.mpf(eng.h_slope_dt)
             root = mpmath.findroot(
                 lambda v: mpmath.polyval(coeffs, v) - h0 - slope * v,
                 mpmath.mpf(u))
@@ -280,10 +281,11 @@ def _assert_cycle_map(eng, states):
     # propagators through the switching instant, to rounding
     m, crossings = eng.n + 1, 0
     for x in states:
-        x_T, _, _, cell = eng._cycle(x)
+        x_T, _, x_aug, cell = eng._cycle(x)
         if cell is None:
             continue
-        i, u, x_base = cell
+        i, u = cell
+        x_base = eng.Phi_on[i - 1] @ x_aug
         S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
         S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
         want = (eng.Phi_off[eng.grid - i] @ S_off @ (S_on @ x_base))[:-1]
