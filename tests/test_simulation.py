@@ -106,7 +106,10 @@ def test_saturated_cycle_keeps_switch_on(ex1, rlp8):
 
 def _assert_one_propagation(eng, states):
     # step, step_jacobian and step_dense run the same cycle, so they must
-    # agree to the bit, and the dense samples start at the input itself
+    # agree to the bit, and the dense samples start at the input itself;
+    # x(T) from the cycle maps C and W is the product of the stage
+    # propagators through the switching instant, to rounding
+    m, crossings = eng.n + 1, 0
     for x in states:
         x_T, duty = eng.step(x)
         x_j, duty_j, _ = eng.step_jacobian(x)
@@ -114,6 +117,16 @@ def _assert_one_propagation(eng, states):
         assert np.array_equal(x_j, x_T) and duty_j == duty, x
         assert np.array_equal(x_d, x_T) and duty_d == duty, x
         assert np.array_equal(xs[0], x), x
+        _, _, x_aug, cell = eng._cycle(x)
+        if cell is None:
+            continue
+        i, u = cell
+        S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
+        S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
+        want = eng.Phi_off[eng.grid - i] @ S_off @ S_on @ eng.Phi_on[i - 1] @ x_aug
+        assert np.max(np.abs(x_T - want[:-1])) <= 1e-13 * np.max(np.abs(want)), x
+        crossings += 1
+    assert crossings > 0
 
 
 @pytest.mark.parametrize("name", SIM_CONFIGS)
@@ -274,41 +287,6 @@ def test_crossing_bits_at_orbits(name, ex1, ex2, sch2, ex3, sch4_at):
     eng = CycleEngine(build_closed_loop(params, scheme))
     x, _ = steady_state(params, scheme, engine=eng)
     _assert_crossing_bits(eng, [x])
-
-
-def _assert_cycle_map(eng, states):
-    # x(T) from the cycle maps C and W is the product of the stage
-    # propagators through the switching instant, to rounding
-    m, crossings = eng.n + 1, 0
-    for x in states:
-        x_T, _, x_aug, cell = eng._cycle(x)
-        if cell is None:
-            continue
-        i, u = cell
-        x_base = eng.Phi_on[i - 1] @ x_aug
-        S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
-        S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
-        want = (eng.Phi_off[eng.grid - i] @ S_off @ (S_on @ x_base))[:-1]
-        assert np.max(np.abs(x_T - want)) <= 1e-13 * np.max(np.abs(want)), x
-        crossings += 1
-    assert crossings > 0
-
-
-@pytest.mark.parametrize("name", SIM_CONFIGS)
-def test_cycle_map_matches_the_stage_product_on_config_runs(name):
-    cfg = load_config(config_path(name))
-    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
-    _assert_cycle_map(eng, tr.strobe[-40:])
-
-
-@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
-def test_cycle_map_matches_the_stage_product_at_orbits(name, ex1, ex2, sch2,
-                                                       ex3, sch4_at):
-    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
-    eng = CycleEngine(build_closed_loop(params, scheme))
-    x, _ = steady_state(params, scheme, engine=eng)
-    _assert_cycle_map(eng, [x])
 
 
 @pytest.mark.parametrize("name", SIM_CONFIGS)
