@@ -1,9 +1,12 @@
 """Command-line interface: critical-value solves, sweeps, and CSV output.
 
-Commands: critical, lplot, contour, window, simulate, poles.  All real
-numbers are emitted with 17 significant digits so CSV round-trips the
-underlying 64-bit floats; files are written atomically (temp + rename)
-and identical configs produce byte-identical output.
+Commands: critical, lplot, contour, window, simulate, poles.  Every real
+number is a ``_fmt`` cell, 17 significant digits, so CSV round-trips the
+underlying 64-bit floats.  Tables are formatted a block of rows at a
+time, and a value that repeats down a column by construction (contour's
+D and p grids, the dense tail's ramp grid and drive) is formatted once.
+Files are written atomically (temp + rename) with the mode the umask
+gives a new file, and identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,28 +41,39 @@ from .transform import f_transform_series
 __all__ = ["main"]
 
 
+_CELL = "%.17g"
+
+
 def _fmt(x) -> str:
     """17-significant-digit decimal, the round-trip form for doubles."""
-    return f"{float(x):.17g}"
+    return _CELL % float(x)
+
+
+def _text(values) -> np.ndarray:
+    """The ``_fmt`` text of each value, as an object array: a column that
+    repeats or tiles it shares the strings, not fixed-width copies."""
+    return np.array([_fmt(v) for v in values], dtype=object)
 
 
 _BLOCK_ROWS = 256
 
 
 def _float_rows(*columns):
-    """CSV lines of ``_fmt`` values from float columns (1-D arrays or 2-D
-    blocks), each formatted by one call.
+    """CSV text of columns (1-D arrays or 2-D blocks) of ``_fmt`` cells,
+    one string per ``_BLOCK_ROWS`` rows.
 
-    The columns share one row count.  Rows are converted to Python floats
-    ``_BLOCK_ROWS`` at a time, so a large table's floats and strings never
-    exist all at once.
+    A column is floats, or an object array of its cells' text (``_text``),
+    which is written as it is.  Each block is formatted by one ``%``
+    operation, so a large table's floats and strings never exist all at
+    once.
     """
-    width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
-    fmt = (",".join(["{:.17g}"] * width) + "\n").format
+    cells = ["%s" if c.dtype == object else _CELL
+             for c in columns
+             for _ in range(c.shape[1] if c.ndim == 2 else 1)]
+    row = ",".join(cells) + "\n"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        for row in block.tolist():
-            yield fmt(*row)
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def _line(cells: Sequence[str]) -> str:
@@ -67,13 +81,17 @@ def _line(cells: Sequence[str]) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]):
-    """Atomic CSV write: the header, then lines that end in LF."""
+    """Atomic CSV write: the header, then lines that end in LF, in a file
+    with the mode that ``open(path, "w")`` would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".subharmonic_", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_line(header))
             fh.writelines(lines)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -185,8 +203,9 @@ def cmd_contour(cfg: RunConfig) -> int:
     out = _default_out(cfg, "contour")
 
     _write_csv(out, ("D", "p", "gap"),
-               _float_rows(np.repeat(D_grid, len(p_grid)),
-                           np.tile(p_grid, len(D_grid)), surface.ravel()))
+               _float_rows(np.repeat(_text(D_grid), len(p_grid)),
+                           np.tile(_text(p_grid), len(D_grid)),
+                           surface.ravel()))
     imax = np.unravel_index(int(np.argmax(surface)), surface.shape)
     print(f"contour: {surface.size} points, wrote {out}")
     print(f"max gap = {_fmt(surface[imax])} at D = {_fmt(D_grid[imax[0]])}, "
@@ -224,6 +243,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     root, ext = os.path.splitext(out)
     dense_out = f"{root}_dense{ext or '.csv'}"
     loop = build_closed_loop(cfg.params, cfg.scheme)
+    eng = CycleEngine(loop)
 
     def write_strobe(trace):
         labels = trace.labels
@@ -241,7 +261,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             cycles=cycles,
             dense=True,
             divergence_bound=cfg.divergence_bound,
-            engine=CycleEngine(loop),
+            engine=eng,
         )
     except Divergence as exc:
         if exc.trace is not None:
@@ -252,7 +272,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_strobe(trace)
     d = trace.dense
     header = ("t",) + trace.labels + ("y", "h", "v_d")
-    _write_csv(dense_out, header, _float_rows(d.t, d.x, d.y, d.h, d.v_d))
+    # each dense cycle samples the same ramp grid, and the drive is v_s
+    # while the switch is on, else 0
+    h = np.tile(_text(eng.h_grid[:eng.grid]), len(d.h) // eng.grid)
+    v_d = _text((0.0, loop.params.v_s))[(d.v_d != 0.0).astype(int)]
+    _write_csv(dense_out, header, _float_rows(d.t, d.x, d.y, h, v_d))
     vo = d.x @ loop.vo_row
     print(f"simulate: {cycles} cycles, wrote {out} and {dense_out}")
     print(f"output ripple (last {trace.window} cycles): "

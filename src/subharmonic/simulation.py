@@ -485,7 +485,8 @@ def _classify(strobe: np.ndarray, duties: np.ndarray, window: int) -> str:
     n_sat = int(np.sum((dtail <= 0.0) | (dtail >= 1.0)))
     if n_sat > window // 2:
         return "other"
-    scale = 1.0 + float(np.max(np.abs(tail)))
+    # relative to the states themselves, so a swing on tiny states counts
+    scale = float(np.max(np.abs(tail)))
     for m in (1, 2, 4):
         resid = float(np.max(np.abs(tail[m:] - tail[:-m])))
         if resid <= 1e-8 * scale:

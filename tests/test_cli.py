@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ import pytest
 
 from subharmonic import ConfigError, cli, errors, simulate
 from subharmonic.config import load_config
+from subharmonic.schemes import contour_data
 
 from conftest import config_path
 
@@ -125,6 +128,20 @@ def test_gap_surface_summary(tmp_path):
     header, rows = read_csv(out)
     assert header == ["D", "p", "gap"]
     assert len(rows) == 100 * 100
+
+
+def test_contour_csv_is_the_surface_cell_for_cell(tmp_path):
+    # text against text: a parsed float would let "-0" pass for "0"
+    cfg = load_config(config_path("contour.cfg"))
+    out = tmp_path / "c.csv"
+    assert cli.main(["contour", "--config", config_path("contour.cfg"),
+                     "--out", str(out)]) == 0
+    D_grid, p_grid = cfg.sweep_d.grid(), cfg.sweep_p.grid()
+    gap = contour_data(D_grid, p_grid)
+    want = ["D,p,gap"] + [
+        f"{cli._fmt(D)},{cli._fmt(p)},{cli._fmt(gap[i, j])}"
+        for i, D in enumerate(D_grid) for j, p in enumerate(p_grid)]
+    assert out.read_text().split("\n") == want + [""]
 
 
 def test_window_report(tmp_path):
@@ -454,6 +471,64 @@ def test_reals_round_trip_through_csv(tmp_path):
     _, rows = read_csv(out)
     for cell in (rows[3][1], rows[97][1]):
         assert f"{float(cell):.17g}" == cell
+
+
+# values whose text is easy to get wrong: signed zero, subnormals, the
+# edges of the exponent form, an integer past 2**53, and non-finite ones
+HARD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1e16, 1e17, 2.0**53 + 2, 1e-5, 1.2345678901234567e-7,
+               6.02214076e23, 1e308, 1 / 3, -2.5, 0.1]
+
+
+def test_fmt_is_the_round_trip_text():
+    for x in HARD_VALUES:
+        assert cli._fmt(x) == f"{x:.17g}"
+    assert [cli._fmt(x) for x in (-0.0, 1e16, 1e17, 2.0**53 + 2)] == [
+        "-0", "10000000000000000", "1e+17", "9007199254740994"]
+
+
+def _per_cell_lines(*columns):
+    """The reference writer: one ``_fmt`` per float cell, text as it is."""
+    lines = []
+    for i in range(len(columns[0])):
+        cells = []
+        for c in columns:
+            if c.dtype == object:
+                cells.append(c[i])
+            else:
+                cells += [cli._fmt(x) for x in np.atleast_1d(c[i])]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+def test_block_writer_matches_a_per_cell_join(n):
+    rng = np.random.default_rng(n)
+    hard = np.array(HARD_VALUES)
+    col = hard[np.arange(n) % len(hard)]
+    block = rng.permutation(np.resize(hard, (n, 3)).ravel()).reshape(n, 3)
+    # a text column that repeats the text of a few values
+    pick = rng.integers(0, 8, n)
+    text = cli._text(hard[:8])[pick]
+    assert text.dtype == object
+    assert text.tolist() == [cli._fmt(x) for x in hard[pick]]
+    columns = (col, block, text, rng.standard_normal(n) * 1e3)
+    chunks = list(cli._float_rows(*columns))
+    assert len(chunks) == -(-n // cli._BLOCK_ROWS)
+    assert "".join(chunks) == _per_cell_lines(*columns)
+
+
+def test_csv_mode_follows_the_umask(tmp_path):
+    # like open(path, "w"): 0o666 less the umask, not mkstemp's 0o600
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        path = tmp_path / f"u{umask:o}.csv"
+        old = os.umask(umask)
+        try:
+            cli._write_csv(str(path), ("a",), ["1\n"])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == "a\n1\n"
 
 
 def test_line_endings_and_no_temp_litter(tmp_path):

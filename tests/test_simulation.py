@@ -356,6 +356,32 @@ def test_pole_placement_window_classifications(ex3, sch4_at, ratio, expect):
     assert tr.classification == expect
 
 
+# the paper's verdict for each *_sim config, at its own voltages
+SIM_VERDICTS = {
+    "ex1_sim_kp8.cfg": "period-1",
+    "ex1_sim_kp9.cfg": "period-2",
+    "ex2_sim_049.cfg": "period-2",
+    "ex2_sim_081.cfg": "period-1",
+    "ex3_sim.cfg": "period-2",
+    "ex4_sim_020.cfg": "period-1",
+    "ex4_sim_024.cfg": "period-2",
+    "ex4_sim_060.cfg": "period-1",
+}
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1e-12])
+@pytest.mark.parametrize("name", SIM_CONFIGS)
+def test_classification_ignores_the_voltage_scale(name, factor):
+    # the loop is linear in the voltages, so scaling all four scales every
+    # state and keeps the period: a swing on tiny states is still a swing
+    cfg = load_config(config_path(name))
+    p = cfg.params
+    params = dataclasses.replace(p, v_s=p.v_s * factor, v_r=p.v_r * factor,
+                                 V_l=p.V_l * factor, V_h=p.V_h * factor)
+    tr = simulate(params, cfg.scheme, cycles=cfg.cycles)
+    assert tr.classification == SIM_VERDICTS[name]
+
+
 def test_persistent_saturation_reported_as_other(cmc_zero_ramp):
     # deep duty with a flat ramp never settles into a periodic latch
     params = dataclasses.replace(cmc_zero_ramp, v_r=7.0)
