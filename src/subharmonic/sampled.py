@@ -9,8 +9,9 @@ parameter grid and locate each -1 crossing as a root of det(I + J),
 which changes sign exactly where a real eigenvalue passes through -1.
 
 The Jacobian behind every eigenvalue is exact: the saltation-matrix
-derivative from ``CycleEngine.step_jacobian``.  The central-difference
-``poincare_jacobian`` is kept as its independent cross-check.
+derivative from ``CycleEngine.step_jacobian``, e^{AT} less a rank-1 term
+since both stages share A.  The central-difference ``poincare_jacobian``
+is kept as its independent cross-check.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ first crossing of the compensator output with the ramp.  Within a stage
 the dynamics ẋ = Ax + b is integrated exactly with matrix exponentials;
 only the crossing localization is iterative, a Newton solve to rounding
 level.  Both stages share A, so a cycle's x(T) is a fixed map of x plus a
-polynomial in the crossing fraction.  ``CycleEngine`` runs a cycle along
-one path, which the plain, Jacobian and dense steps share, so all three
-give the same x(T) to the bit.  The stroboscopic sequence x(nT) is the
-ground truth used for subharmonic (period-doubling) detection.
+polynomial in the crossing fraction, and its Jacobian e^{AT} less a rank-1
+term.  ``CycleEngine`` runs a cycle along one path, which the plain,
+Jacobian and dense steps share, so all three give the same x(T) to the
+bit.  The stroboscopic sequence x(nT) is the ground truth used for
+subharmonic (period-doubling) detection.
 """
 
 from __future__ import annotations
@@ -207,13 +208,13 @@ def expm(terms: np.ndarray) -> np.ndarray:
 
 
 def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
-    """Both stages' Taylor stacks, Phi grids and cycle maps for loops of
+    """The on stage's Taylor stack, Phi grids and cycle maps for loops of
     one dimension.
 
     One Taylor chain serves every stage, and one batched product per grid
-    step every Phi grid.  Returns per loop (P_on_rows, P_off_rows, Phi,
-    C, W), or None if the loop has ‖A dt‖₁ > 8 (the b column carries
-    volts, not dynamics).  C[i] = Phi_off[grid - i] @ Phi_on[i] is the
+    step every Phi grid.  Returns per loop (P_on, Phi, C, W), or None if
+    the loop has ‖A dt‖₁ > 8 (the b column carries volts, not dynamics).
+    P_on[l] = M_on^l / l!.  C[i] = Phi_off[grid - i] @ Phi_on[i] is the
     cycle that switches at t_i.  The stages share A, so one that switches
     at fraction u of cell i ends at C[i, :n] @ x_aug - W[i] @ (1 - u)**l:
     W[i] = Phi_off[grid - i][:n, :n] @ V.T with V[l] the top of
@@ -235,13 +236,12 @@ def _propagator_stacks(loops: Sequence[ClosedLoop], grid: int) -> list:
     Phi[0] = np.eye(m)
     for j in range(grid):
         np.matmul(E, Phi[j], out=Phi[j + 1])
-    rows = [t[:k].reshape(-1, m * m) for t, k in zip(terms, lengths.tolist())]
+    P_on = [t[:k] for t, k in zip(terms[::2], lengths[::2].tolist())]
     C = Phi[::-1, :, 1] @ Phi[:, :, 0]
     V = terms[::2, :, :-1, -1] - terms[1::2, :, :-1, -1]
     W = [Phi[::-1, j, 1, :-1, :-1] @ V[j, :k].T
          for j, k in enumerate(np.maximum(lengths[::2], lengths[1::2]).tolist())]
-    built = zip(rows[::2], rows[1::2], np.moveaxis(Phi, 0, 2),
-                np.moveaxis(C, 0, 1), W)
+    built = zip(P_on, np.moveaxis(Phi, 0, 2), np.moveaxis(C, 0, 1), W)
     return [None if s else next(built) for s in stiff.tolist()]
 
 
@@ -254,8 +254,8 @@ class CycleEngine:
     Whole cells propagate through the stacks Phi_on[j] = e^{M_on j dt}
     and Phi_off[j].  A cycle that switches at fraction u of cell i ends
     at C[i, :n] @ x_aug - W[i] @ (1 - u)**l, the cycle maps of
-    ``_propagator_stacks``; the Taylor series of each stage over its part
-    of the cell are summed only for the Jacobian.  ``step``,
+    ``_propagator_stacks``, and y over that cell is u**l @ yP_on @
+    Phi_on[i - 1] @ x_aug; the Jacobian is built from these too.  ``step``,
     ``step_jacobian`` and ``step_dense`` all run that one cycle, so they
     return bit-identical (x(T), duty).  The stacks come from
     ``_propagator_stacks``, for this loop alone or (via _stacks) from one
@@ -274,22 +274,18 @@ class CycleEngine:
         self.grid = grid
         self.T = loop.params.T
         self.dt = self.T / grid
-        n = loop.dim
-        self.n = n
-        m = n + 1
-        # each stage's Taylor stack, flattened into rows so the propagator
-        # over any fraction u of a cell is the one product u**k @ rows,
-        # with the exponents k built here once
-        self._P_on_rows, self._P_off_rows, Phi, self.C, self.W = stacks
-        self._k_on = np.arange(len(self._P_on_rows))
-        self._k_off = np.arange(len(self._P_off_rows))
+        self.n = loop.dim
+        # polynomials in u are u**k against rows, with k built here once
+        P_on, Phi, self.C, self.W = stacks
+        self._k_on = np.arange(len(P_on))
         self._k_W = np.arange(self.W.shape[-1])
         self.Phi_on, self.Phi_off = Phi
 
         self.y_aug = np.append(loop.y_row, loop.y_const)
         # y along the on-stage grid: row i gives y(t_i) as a form on x_aug(0)
         self.yPhi_on = self.y_aug @ self.Phi_on
-        self.yP_on = self.y_aug @ self._P_on_rows.reshape(-1, m, m)
+        # y over a fraction u of an on-stage cell: u**k @ yP_on
+        self.yP_on = self.y_aug @ P_on
         p = loop.params
         self.h_grid = p.V_l + p.V_m * np.arange(grid + 1) / grid
         self.h_slope_dt = p.V_m / grid
@@ -379,36 +375,36 @@ class CycleEngine:
             J = Phi_off(T - t*) [Phi_on(t*) - outer(jump, c Phi_on(t*)) / rate]
 
         built on the crossing the step itself finds: c is the output row
-        of y, m_a the ramp slope, jump = dt (b_on - b_off), and
-        rate = dt (c (A x* + b_on) - m_a) is the rate per cell at which
-        y - h falls through zero at t*.  J is None for a saturated cycle
-        (duty 0 or 1): nothing switches, so the map is affine there and
-        says nothing about the switching orbit.  Raises DegenerateOrbit
-        when the crossing grazes the ramp (rate = 0), where the map has
-        no derivative.
+        of y, jump = dt (b_on - b_off), and rate is the slope per cell at
+        which y - h falls through zero at t*.  The stages share A, so the
+        state blocks of the two flows multiply to E = e^{AT} = C[0, :n, :n]
+        whatever t*, and J = E - outer(w, v) / rate: w = e^{A(T - t*)} jump
+        is the u-derivative of the cycle map and v = c e^{A t*} the
+        x-derivative of y at the crossing.  J is None for a saturated
+        cycle (duty 0 or 1): nothing switches, so the map is affine there
+        and says nothing about the switching orbit.  Raises DegenerateOrbit
+        when the crossing grazes the ramp (rate = 0), where the map has no
+        derivative.
         """
         x_T, duty, x_aug, cell = self._cycle(x)
         if cell is None:
             return x_T, duty, None
         i, u = cell
-        loop, n, m = self.loop, self.n, self.n + 1
-        # propagators from t = 0 to t* and from t* to the cell's end
-        on = (u ** self._k_on @ self._P_on_rows).reshape(m, m) @ self.Phi_on[i - 1]
-        S_off = ((1.0 - u) ** self._k_off @ self._P_off_rows).reshape(m, m)
-        x_star = on @ x_aug
-        f_on = loop.A @ x_star[:n] + loop.b_on
-        rate = self.dt * (loop.y_row @ f_on) - self.h_slope_dt
-        scale = self.dt * (np.abs(loop.y_row) @ np.abs(f_on)) + abs(self.h_slope_dt)
+        # y over the cell as rows on x_aug, and its u-derivative dy at u
+        y_on = self.yP_on @ self.Phi_on[i - 1]
+        k = self._k_on[1:]
+        dy = (k * u ** (k - 1)) @ y_on[1:]
+        rate = dy @ x_aug - self.h_slope_dt
+        scale = np.abs(dy) @ np.abs(x_aug) + abs(self.h_slope_dt)
         if not rate < -1e-12 * scale:
             raise DegenerateOrbit(
                 "the crossing grazes the ramp; the cycle map has no "
                 "derivative there"
             )
-        Phi_star = on[:n, :n]
-        jump = self.dt * (loop.b_on - loop.b_off)
-        saltated = Phi_star - np.outer(jump / rate, loop.y_row @ Phi_star)
-        Phi_end = self.Phi_off[self.grid - i] @ S_off
-        return x_T, duty, Phi_end[:n, :n] @ saltated
+        v = (u ** self._k_on @ y_on)[:-1]
+        k = self._k_W[1:]
+        w = self.W[i][:, 1:] @ (k * (1.0 - u) ** (k - 1))
+        return x_T, duty, self.C[0, :-1, :-1] - np.outer(w / rate, v)
 
     def step_dense(self, x: np.ndarray):
         """One period with grid-resolution sampling of (x, y, h, v_d).
@@ -683,8 +679,12 @@ def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
         y_on = eng.yP_on @ eng.Phi_on[i - 1]
         u = brentq(lambda u: np.linalg.det(M_at(i, u, y_on)), 0.0, 1.0,
                    xtol=eng.u_tol, rtol=8.9e-16)
-        z = np.linalg.svd(M_at(i, u, y_on))[2][-1]
-        found.append((z[:n] / z[n], (i - 1 + u) / grid))
+        # the last column carries volts: scale it to the others' size
+        M = M_at(i, u, y_on)
+        sigma = np.abs(M[:, n]).max() / np.abs(M[:, :n]).max() or 1.0
+        M[:, n] /= sigma
+        z = np.linalg.svd(M)[2][-1]
+        found.append((sigma * z[:n] / z[n], (i - 1 + u) / grid))
     return found
 
 
@@ -704,10 +704,10 @@ def steady_state(
     loops with and without an integrator.  det M is scanned over the
     engine's cycle maps C, each sign change is refined by brentq inside
     its cell, where W carries the partial cell, and x is the null vector
-    of M at the root.
+    of M at the root, its volts column scaled to the size of the others.
 
     One exact Newton step with ``step_jacobian`` polishes x and a second
-    call confirms it: the residual is within 1e-12 (1 + max|x|), the
+    call confirms it: the residual is within 1e-12 max|x|, the
     cycle switches at the root's duty (so the root is its first crossing)
     and it neither saturates nor grazes the ramp.  Candidates that fail
     are skipped; of those that pass, the one nearest x_init is returned.
@@ -730,9 +730,8 @@ def steady_state(
             fx, duty, J = eng.step_jacobian(x)
         except DegenerateOrbit:
             continue  # the cycle grazes the ramp
-        scale = 1.0 + float(np.max(np.abs(x)))
         if (J is not None and abs(duty - d) <= 1e-9
-                and float(np.max(np.abs(fx - x))) <= 1e-12 * scale):
+                and np.abs(fx - x).max() <= 1e-12 * np.abs(x).max()):
             eng.orbit = (x, J)
             return x, duty
     raise NoConvergence(

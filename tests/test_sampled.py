@@ -5,6 +5,7 @@ import glob
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -179,6 +180,37 @@ def test_exact_jacobian_determinant_identity(name, ex1, ex2, sch2, ex3,
 
 
 @pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_exact_jacobian_matches_a_40_digit_saltation_product(
+        name, ex1, ex2, sch2, ex3, sch4_at):
+    # J = e^{A(T - t*)} [e^{A t*} - jump c e^{A t*} / rate] with every
+    # exponential taken by mpmath at 40 digits, on the engine's own
+    # crossing: jump = b_on - b_off and rate = c (A x* + b_on) - m_a
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    eng, x = _engine_at_orbit(params, scheme)
+    _, _, J = eng.step_jacobian(x)
+    _, _, _, (i, u) = eng._cycle(x)
+    loop, n = eng.loop, eng.n
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = loop.A
+    M[:n, n] = loop.b_on
+    with mpmath.workdps(40):
+        T = mpmath.mpf(params.T)
+        t_star = (i - 1 + mpmath.mpf(u)) * T / eng.grid
+        A = mpmath.matrix(loop.A.tolist())
+        c = mpmath.matrix([loop.y_row.tolist()])
+        b_on = mpmath.matrix(loop.b_on.tolist())
+        jump = mpmath.matrix((loop.b_on - loop.b_off).tolist())
+        x_aug = mpmath.expm(mpmath.matrix(M.tolist()) * t_star) * mpmath.matrix(
+            x.tolist() + [1.0])
+        x_star = mpmath.matrix(x_aug.tolist()[:n])
+        rate = (c * (A * x_star + b_on))[0] - mpmath.mpf(params.V_m) / T
+        on = mpmath.expm(A * t_star)
+        ref = mpmath.expm(A * (T - t_star)) * (on - jump * (c * on) / rate)
+        ref = np.array(ref.tolist(), dtype=float)
+    assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
 def test_exact_jacobian_matches_central_differences(name, ex1, ex2, sch2,
                                                     ex3, sch4_at):
     # the difference quotient converges as rel**2: about 2e-7 at 1e-7
@@ -322,7 +354,7 @@ def test_multipliers_do_not_depend_on_the_voltage_scale(name):
         return traj.tracks()
 
     ref = run(1.0)
-    for k in (1e3, 1e6):
+    for k in (1e-9, 1e-6, 1e3, 1e6, 1e8, 1e9):
         assert np.max(np.abs(run(k) - ref)) <= 1e-12
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+import subharmonic.simulation as simulation
 from subharmonic import (
     CMC,
     RLP,
@@ -19,6 +20,7 @@ from subharmonic import (
     CycleEngine,
     Divergence,
     DomainError,
+    NoConvergence,
     NumericalFailure,
     UnsupportedStructure,
     build_closed_loop,
@@ -32,7 +34,7 @@ from subharmonic import (
 )
 from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
-from subharmonic.simulation import _propagator_stacks
+from subharmonic.simulation import _propagator_stacks, _taylor_terms
 
 from conftest import config_path
 from test_sampled import SCENARIOS, _scenario
@@ -104,15 +106,35 @@ def test_saturated_cycle_keeps_switch_on(ex1, rlp8):
     assert x1[0] == pytest.approx(want, rel=1e-12)
 
 
+def _stage_stacks(loop, grid=64):
+    """Each stage's Taylor stack M^l / l!, from ``_taylor_terms`` on the
+    loop's own M dt, as the engine's build takes them."""
+    m = loop.dim + 1
+    Ms = np.zeros((2, m, m))
+    Ms[:, :-1, :-1] = loop.A
+    Ms[:, :-1, -1] = loop.b_on, loop.b_off
+    Ms *= loop.params.T / grid
+    terms, lengths = _taylor_terms(Ms)
+    return [t[:k] for t, k in zip(terms, lengths.tolist())]
+
+
+def _partial(stack, u):
+    # the stage propagator over fraction u of a cell
+    return np.tensordot(u ** np.arange(len(stack)), stack, 1)
+
+
 def _assert_one_propagation(eng, states):
     # step, step_jacobian and step_dense run the same cycle, so they must
     # agree to the bit, and the dense samples start at the input itself;
     # x(T) from the cycle maps C and W is the product of the stage
-    # propagators through the switching instant, to rounding
-    m, crossings = eng.n + 1, 0
+    # propagators through the switching instant, to rounding, and J the
+    # product with the saltation matrix there
+    loop, n = eng.loop, eng.n
+    P_on, P_off = _stage_stacks(loop, eng.grid)
+    crossings = 0
     for x in states:
         x_T, duty = eng.step(x)
-        x_j, duty_j, _ = eng.step_jacobian(x)
+        x_j, duty_j, J = eng.step_jacobian(x)
         x_d, duty_d, xs, _, _ = eng.step_dense(x)
         assert np.array_equal(x_j, x_T) and duty_j == duty, x
         assert np.array_equal(x_d, x_T) and duty_d == duty, x
@@ -121,10 +143,15 @@ def _assert_one_propagation(eng, states):
         if cell is None:
             continue
         i, u = cell
-        S_on = (u ** eng._k_on @ eng._P_on_rows).reshape(m, m)
-        S_off = ((1.0 - u) ** eng._k_off @ eng._P_off_rows).reshape(m, m)
+        S_on, S_off = _partial(P_on, u), _partial(P_off, 1.0 - u)
         want = eng.Phi_off[eng.grid - i] @ S_off @ S_on @ eng.Phi_on[i - 1] @ x_aug
         assert np.max(np.abs(x_T - want[:-1])) <= 1e-13 * np.max(np.abs(want)), x
+        on = (S_on @ eng.Phi_on[i - 1])[:n]
+        rate = eng.dt * (loop.y_row @ (loop.A @ (on @ x_aug) + loop.b_on)) - eng.h_slope_dt
+        jump = eng.dt * (loop.b_on - loop.b_off)
+        saltated = on[:, :n] - np.outer(jump / rate, loop.y_row @ on[:, :n])
+        J_want = (eng.Phi_off[eng.grid - i] @ S_off)[:n, :n] @ saltated
+        assert np.max(np.abs(J - J_want)) <= 1e-13 * np.max(np.abs(J_want)), x
         crossings += 1
     assert crossings > 0
 
@@ -154,9 +181,8 @@ def test_batched_grids_match_one_product_at_a_time(name, ex1, ex2, sch2, ex3,
     params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
     eng = CycleEngine(build_closed_loop(params, scheme))
     m = eng.n + 1
-    for grids, rows in ((eng.Phi_on, eng._P_on_rows),
-                        (eng.Phi_off, eng._P_off_rows)):
-        E = rows.sum(axis=0).reshape(m, m)
+    for grids, stack in zip((eng.Phi_on, eng.Phi_off), _stage_stacks(eng.loop)):
+        E = stack.sum(axis=0)
         chain = [np.eye(m)]
         for _ in range(eng.grid):
             chain.append(E @ chain[-1])
@@ -165,19 +191,20 @@ def test_batched_grids_match_one_product_at_a_time(name, ex1, ex2, sch2, ex3,
 
 POLES_CONFIGS = sorted(
     os.path.basename(p) for p in glob.glob(config_path("*_poles.cfg")))
-ENGINE_ARRAYS = ("Phi_on", "Phi_off", "_P_on_rows", "_P_off_rows", "C", "W",
-                 "yPhi_on", "yP_on")
+ENGINE_ARRAYS = ("Phi_on", "Phi_off", "C", "W", "yPhi_on", "yP_on")
 
 
 def _assert_batch_matches_single_builds(loops):
     # one engine per loop from a single batched stack build, each equal to
-    # the engine built from its loop alone, to the bit
+    # the engine built from its loop alone, to the bit; so is each stage's
+    # Taylor stack, the on stage's as the batch returns it
     stacks = _propagator_stacks(loops, 64)
     for loop, st in zip(loops, stacks):
         batched, alone = CycleEngine(loop, _stacks=st), CycleEngine(loop)
         for attr in ENGINE_ARRAYS:
             assert np.array_equal(getattr(batched, attr),
                                   getattr(alone, attr)), attr
+        assert np.array_equal(st[0], _stage_stacks(loop)[0])
     return stacks
 
 
@@ -209,8 +236,9 @@ def test_batched_stacks_stop_at_their_own_length(ex2, sch2):
     loops = [build_closed_loop(ex2, dataclasses.replace(
         sch2, omega_p=ratio * ex2.omega_s)) for ratio in (0.49, 0.81)]
     stacks = _assert_batch_matches_single_builds(loops)
-    assert [(len(on), len(off), W.shape[-1])
-            for on, off, _, _, W in stacks] == [(13, 12, 13), (14, 14, 14)]
+    assert [(len(on), len(_stage_stacks(loop)[1]), W.shape[-1])
+            for loop, (on, _, _, W) in zip(loops, stacks)] == [(13, 12, 13),
+                                                               (14, 14, 14)]
 
 
 def test_too_stiff_engine_names_the_norm_and_the_grid_that_passes(ex2, sch2):
@@ -237,16 +265,15 @@ def test_taylor_stack_drops_only_a_negligible_tail(name):
     # bound on the 1-norm of M^j / j!: the terms it leaves out sum below
     # 1e-22 and the stack sums to scipy's expm
     cfg = load_config(config_path(name))
-    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
-    m = eng.n + 1
-    for rows in (eng._P_on_rows, eng._P_off_rows):
-        M = rows[1].reshape(m, m)
-        term, tail = rows[-1].reshape(m, m), np.zeros((m, m))
-        for j in range(len(rows), len(rows) + 30):
+    loop = build_closed_loop(cfg.params, cfg.scheme)
+    for stack in _stage_stacks(loop):
+        M = stack[1]
+        term, tail = stack[-1], np.zeros_like(M)
+        for j in range(len(stack), len(stack) + 30):
             term = term @ M / j
             tail += term
         assert np.linalg.norm(tail, 1) < 1e-22, name
-        E = rows.sum(axis=0).reshape(m, m)
+        E = stack.sum(axis=0)
         assert np.max(np.abs(E - scipy_expm(M))) <= 1e-14, name
 
 
@@ -529,6 +556,34 @@ def test_weakly_unstable_interior_orbit_is_still_found(ex1):
     eng = CycleEngine(loop)
     J = cycle_jacobian(eng, x)
     assert J[0, 0] < -1.0
+
+
+@pytest.mark.parametrize("name", POLES_CONFIGS)
+def test_orbit_confirmation_does_not_depend_on_the_voltage_scale(
+        name, monkeypatch):
+    # hand steady_state the true orbit off by 1e-6: whether one Newton step
+    # and the residual test accept it must not change when every voltage,
+    # and so every state, is scaled down
+    cfg = load_config(config_path(name))
+    x, d = steady_state(cfg.params, cfg.scheme)
+
+    def confirm(k):
+        p = cfg.params
+        params = dataclasses.replace(p, v_s=p.v_s * k, v_r=p.v_r * k,
+                                     V_l=p.V_l * k, V_h=p.V_h * k)
+        monkeypatch.setattr(simulation, "_orbit_duties",
+                            lambda eng: [(k * x * (1.0 + 1e-6), d)])
+        try:
+            return steady_state(params, cfg.scheme)[0] / k
+        except NoConvergence:
+            return None
+
+    ref = confirm(1.0)
+    for k in (1e-6, 1e-9, 1e-12):
+        got = confirm(k)
+        assert (got is None) == (ref is None), k
+        if ref is not None:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), k
 
 
 def test_five_state_fixed_point(ex3, sch3):
