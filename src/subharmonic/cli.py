@@ -4,7 +4,8 @@ Commands: critical, lplot, contour, window, simulate, poles.  Every real
 number is a ``_fmt`` cell, 17 significant digits, so CSV round-trips the
 underlying 64-bit floats.  Tables are formatted a block of rows at a
 time, and a value that repeats down a column by construction (contour's
-D and p grids, the dense tail's ramp grid and drive) is formatted once.
+D and p grids, the dense tail's ramp grid and drive) is formatted once,
+as is each row of a simulation's repeating period.
 Files are written atomically (temp + rename) with the mode the umask
 gives a new file, and identical configs produce byte-identical output.
 """
@@ -62,18 +63,35 @@ def _float_rows(*columns):
     """CSV text of columns (1-D arrays or 2-D blocks) of ``_fmt`` cells,
     one string per ``_BLOCK_ROWS`` rows.
 
-    A column is floats, or an object array of its cells' text (``_text``),
-    which is written as it is.  Each block is formatted by one ``%``
-    operation, so a large table's floats and strings never exist all at
-    once.
+    A column is floats, integers (written ``%d``, the ``_fmt`` text of a
+    whole number below 1e17), or an object array of its cells' text
+    (``_text``), which is written as it is.  Each block is formatted by
+    one ``%`` operation, so a large table's floats and strings never
+    exist all at once.
     """
-    cells = ["%s" if c.dtype == object else _CELL
+    cells = ["%s" if c.dtype == object else "%d" if c.dtype.kind == "i"
+             else _CELL
              for c in columns
              for _ in range(c.shape[1] if c.ndim == 2 else 1)]
     row = ",".join(cells) + "\n"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
         yield row * len(block) % tuple(block.ravel().tolist())
+
+
+def _repeating_rows(key, columns, first: int, period: int):
+    """``_float_rows`` of key followed by columns, whose rows from first
+    on repeat with the given period: that period's text of columns is
+    formatted once and indexed as an object column for every later row.
+    A repeat that does not recur before the last row is formatted as is.
+    """
+    n = len(key)
+    if first + period >= n:
+        first = n
+    yield from _float_rows(key[:first], *(c[:first] for c in columns))
+    unit = "".join(_float_rows(*(c[first:first + period] for c in columns)))
+    cells = np.array(unit.splitlines(), dtype=object)
+    yield from _float_rows(key[first:], cells[np.arange(n - first) % period])
 
 
 def _line(cells: Sequence[str]) -> str:
@@ -246,13 +264,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     eng = CycleEngine(loop)
 
     def write_strobe(trace):
-        labels = trace.labels
-        header = ("cycle", "duty") + labels
-
+        header = ("cycle", "duty") + trace.labels
+        n = len(trace.strobe)
+        j, period = trace.repeat or (n, n)
         duties = np.concatenate(([np.nan], trace.duties))
-        # a whole number's .17g text is its decimal digits, as str(n) gives
-        cycle = np.arange(len(duties), dtype=float)
-        _write_csv(out, header, _float_rows(cycle, duties, trace.strobe))
+        # row r > j + period repeats row r - period
+        _write_csv(out, header, _repeating_rows(
+            np.arange(n), (duties, trace.strobe), j + 1, period))
 
     try:
         trace = simulate(
@@ -272,11 +290,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_strobe(trace)
     d = trace.dense
     header = ("t",) + trace.labels + ("y", "h", "v_d")
-    # each dense cycle samples the same ramp grid, and the drive is v_s
-    # while the switch is on, else 0
+    # dense cycles repeat with the strobe's period; each samples the same
+    # ramp grid, and the drive is v_s while the switch is on, else 0
     h = np.tile(_text(eng.h_grid[:eng.grid]), len(d.h) // eng.grid)
     v_d = _text((0.0, loop.params.v_s))[(d.v_d != 0.0).astype(int)]
-    _write_csv(dense_out, header, _float_rows(d.t, d.x, d.y, h, v_d))
+    period = eng.grid * trace.repeat[1] if trace.repeat else len(d.t)
+    _write_csv(dense_out, header,
+               _repeating_rows(d.t, (d.x, d.y, h, v_d), 0, period))
     vo = d.x @ loop.vo_row
     print(f"simulate: {cycles} cycles, wrote {out} and {dense_out}")
     print(f"output ripple (last {trace.window} cycles): "

@@ -79,7 +79,7 @@ class RunConfig:
     terms: int = 0
     out: Optional[str] = None
     solve_for: Optional[str] = None
-    divergence_bound: float = 1e6
+    divergence_bound: Optional[float] = None  # None: simulate's default
 
     def __post_init__(self):
         if self.duty is not None and not 0.0 < self.duty < 1.0:
@@ -88,7 +88,7 @@ class RunConfig:
             raise ConfigError("cycles must be at least 2")
         if self.terms < 0:
             raise ConfigError("terms must be non-negative")
-        if self.divergence_bound <= 0.0:
+        if self.divergence_bound is not None and self.divergence_bound <= 0.0:
             raise ConfigError("divergence_bound must be positive")
 
 

@@ -464,7 +464,12 @@ class DenseTrace:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Stroboscopic record of a run plus its periodicity verdict."""
+    """Stroboscopic record of a run plus its periodicity verdict.
+
+    repeat is (j, period) when the strobe re-entered x_j bit for bit at
+    cycle j + period before the dense tail: every later row, duty and
+    dense cycle is then a copy from period cycles back.  None otherwise.
+    """
 
     strobe: np.ndarray
     duties: np.ndarray
@@ -472,6 +477,7 @@ class SimTrace:
     labels: Tuple[str, ...]
     window: int
     dense: Optional[DenseTrace] = None
+    repeat: Optional[Tuple[int, int]] = None
 
 
 def _classify(strobe: np.ndarray, duties: np.ndarray, window: int) -> str:
@@ -521,7 +527,7 @@ def simulate(
     grid: int = 64,
     dense: bool = False,
     dense_cycles: Optional[int] = None,
-    divergence_bound: float = 1e6,
+    divergence_bound: Optional[float] = None,
     engine: Optional[CycleEngine] = None,
 ) -> SimTrace:
     """Run the switched simulation and classify its long-run behavior.
@@ -531,12 +537,16 @@ def simulate(
     (the default 576 = 512 transient + 64 window).  With dense=True the
     last `dense_cycles` cycles (default: the window) are also sampled at
     grid resolution; a value above `cycles` densifies the whole run.
-    Divergence carries the partial trace in its ``trace`` attribute.
+    A state with a component beyond divergence_bound (default 1e6 times
+    the largest component of the averaged operating point, so the bound
+    scales with the voltages) raises Divergence, which carries the
+    partial trace in its ``trace`` attribute.
 
     A cycle is a pure function of the bits of its starting state, so
     once the strobe re-enters an earlier state bit for bit, the rest of
-    it repeats with that period: those rows and duties are copied, and
-    only the dense tail is stepped again.
+    the run repeats with that period (``SimTrace.repeat``): the later
+    rows and duties are copied, and of the dense tail only the first
+    period cycles are stepped, the rest copied from a period back.
     """
     if window < 4:
         raise DomainError("window must be at least 4")
@@ -548,6 +558,13 @@ def simulate(
         build_closed_loop(params, scheme), grid
     )
     x = _initial_state(params, scheme, x_init, eng.n)
+    if divergence_bound is None:
+        auto = x if isinstance(x_init, str) else _initial_state(
+            params, scheme, "auto", eng.n)
+        divergence_bound = 1e6 * np.abs(auto).max()
+    bound = float(divergence_bound)
+    if not bound > 0.0:
+        raise DomainError("divergence_bound must be positive")
     if dense_cycles is None:
         dense_cycles = window
     # cycles [0, dense_from) take plain steps, the rest dense ones
@@ -558,15 +575,14 @@ def simulate(
     strobe[0] = x
     # the cycle index of each plain-stepped state, keyed by its bytes
     seen = {x.tobytes(): 0}
-    dts: List[np.ndarray] = []
     dxs: List[np.ndarray] = []
     dys: List[np.ndarray] = []
     dvds: List[np.ndarray] = []
-    k = 0
-    while k < cycles:
+    repeat = None
+    k, stop = 0, cycles
+    while k < stop:
         if k >= dense_from:
             x, duty, xs, ys, vds = eng.step_dense(x)
-            dts.append(k * eng.T + np.arange(eng.grid) * eng.dt)
             dxs.append(xs)
             dys.append(ys)
             dvds.append(vds)
@@ -575,42 +591,36 @@ def simulate(
         strobe[k + 1] = x
         duties[k] = duty
         k += 1
-        # one reduction: NaN and inf fail the comparison as well
-        if not np.abs(x).max() <= divergence_bound:
-            partial = SimTrace(
-                strobe[: k + 1].copy(),
-                duties[:k].copy(),
-                "diverged",
-                eng.loop.labels,
-                window,
-            )
-            err = Divergence(
-                f"state magnitude exceeded {divergence_bound:g} "
-                f"at cycle {k}",
-                trace=partial,
-            )
-            raise err
+        # as np.abs(x).max() <= bound: NaN fails every comparison
+        if not all(map(bound.__ge__, map(abs, x.tolist()))):
+            partial = SimTrace(strobe[: k + 1].copy(), duties[:k].copy(),
+                               "diverged", eng.loop.labels, window)
+            raise Divergence(f"state magnitude exceeded {bound:g} "
+                             f"at cycle {k}", trace=partial)
         if k < dense_from:
             j = seen.setdefault(x.tobytes(), k)
             if j < k:
-                # x_k is x_j: states from j on repeat with period k - j,
-                # so copy them up to the dense tail's starting state
+                # x_k is x_j: states from j on repeat with period k - j, so
+                # copy them to the end and step only the first period
+                # dense cycles, whose copies fill the rest of the tail
                 period = k - j
-                strobe[k + 1:dense_from + 1] = strobe[
-                    j + np.arange(k + 1 - j, dense_from + 1 - j) % period]
-                duties[k:dense_from] = duties[
-                    j + np.arange(k - j, dense_from - j) % period]
-                k = dense_from
+                repeat = (j, period)
+                strobe[k + 1:] = strobe[
+                    j + np.arange(k + 1 - j, cycles + 1 - j) % period]
+                duties[k:] = duties[j + np.arange(k - j, cycles - j) % period]
+                k, stop = dense_from, min(cycles, dense_from + period)
                 x = strobe[k]
     dense_trace = None
-    if dense and dts:
-        h = np.tile(eng.h_grid[: eng.grid], len(dts))
+    if dxs:
+        n_dense = cycles - dense_from
+        per = np.arange(n_dense) % len(dxs)
         dense_trace = DenseTrace(
-            t=np.concatenate(dts),
-            x=np.vstack(dxs),
-            y=np.concatenate(dys),
-            h=h,
-            v_d=np.concatenate(dvds),
+            t=((dense_from + np.arange(n_dense))[:, None] * eng.T
+               + np.arange(eng.grid) * eng.dt).ravel(),
+            x=np.stack(dxs)[per].reshape(-1, eng.n),
+            y=np.stack(dys)[per].ravel(),
+            h=np.tile(eng.h_grid[: eng.grid], n_dense),
+            v_d=np.stack(dvds)[per].ravel(),
         )
     return SimTrace(
         strobe,
@@ -619,6 +629,7 @@ def simulate(
         eng.loop.labels,
         window,
         dense_trace,
+        repeat,
     )
 
 

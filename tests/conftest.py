@@ -1,5 +1,6 @@
 """Shared fixtures: the four benchmark converter setups used throughout."""
 
+import glob
 import math
 import os
 
@@ -62,3 +63,13 @@ def rlp8():
 
 def config_path(name):
     return os.path.abspath(os.path.join(CONFIG_DIR, name))
+
+
+def config_names(pattern):
+    """Sorted basenames of the configs matching pattern.  Raises when none
+    does, so a checkout without them fails collection instead of quietly
+    parametrizing a test over nothing."""
+    names = sorted(os.path.basename(p) for p in glob.glob(config_path(pattern)))
+    if not names:
+        raise FileNotFoundError(f"no config matches {config_path(pattern)}")
+    return names

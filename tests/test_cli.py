@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from subharmonic import ConfigError, cli, errors, simulate
+from subharmonic import ConfigError, CycleEngine, cli, errors, simulate
 from subharmonic.config import load_config
 from subharmonic.schemes import contour_data
 
@@ -516,6 +516,39 @@ def test_block_writer_matches_a_per_cell_join(n):
     chunks = list(cli._float_rows(*columns))
     assert len(chunks) == -(-n // cli._BLOCK_ROWS)
     assert "".join(chunks) == _per_cell_lines(*columns)
+
+
+@pytest.mark.parametrize("name,dense_steps", [
+    ("ex1_sim_kp9", 4),     # strobe bits repeat with period 4
+    ("ex3_sim", 2),
+    ("ex4_sim_060", 64),    # its period, 654 cycles, outlasts the tail
+    ("ex4_sim_024", 64),    # never repeats
+])
+def test_simulate_csv_is_the_per_cell_text_of_the_trace(tmp_path, monkeypatch,
+                                                        name, dense_steps):
+    # the CLI steps one period of the dense tail and formats a repeating
+    # row once; both files must still be a per-cell join of the trace
+    cfg = load_config(config_path(f"{name}.cfg"))
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True)
+    step_dense, calls = CycleEngine.step_dense, []
+
+    def counted(self, x):
+        calls.append(x)
+        return step_dense(self, x)
+
+    monkeypatch.setattr(CycleEngine, "step_dense", counted)
+    out = tmp_path / "s.csv"
+    assert cli.main(["simulate", "--config", config_path(f"{name}.cfg"),
+                     "--out", str(out)]) == 0
+    assert len(calls) == dense_steps
+    cycle = np.arange(cfg.cycles + 1, dtype=float)
+    duties = np.concatenate(([np.nan], tr.duties))
+    assert out.read_text() == (",".join(("cycle", "duty") + tr.labels) + "\n"
+                               + _per_cell_lines(cycle, duties, tr.strobe))
+    d = tr.dense
+    header = ",".join(("t",) + tr.labels + ("y", "h", "v_d")) + "\n"
+    assert (tmp_path / "s_dense.csv").read_text() == (
+        header + _per_cell_lines(d.t, d.x, d.y, d.h, d.v_d))
 
 
 def test_csv_mode_follows_the_umask(tmp_path):

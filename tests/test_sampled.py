@@ -1,9 +1,7 @@
 """Cycle-map eigenvalues, pole trajectories, and threshold bisection."""
 
 import dataclasses
-import glob
 import math
-import os
 
 import mpmath
 import numpy as np
@@ -29,7 +27,7 @@ from subharmonic import (
 from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
 
-from conftest import config_path
+from conftest import config_names, config_path
 
 
 def _sch2_at(sch2, ex2, ratio):
@@ -336,8 +334,7 @@ def test_failed_points_stay_per_point_in_a_batched_sweep(ex1, ex2, sch2, case):
     assert list(traj.errors) == failed
 
 
-@pytest.mark.parametrize("name", sorted(
-    os.path.basename(p) for p in glob.glob(config_path("*_poles.cfg"))))
+@pytest.mark.parametrize("name", config_names("*_poles.cfg"))
 def test_multipliers_do_not_depend_on_the_voltage_scale(name):
     # every voltage times k scales the states by k and leaves the cycle map's
     # multipliers alone; the engine must judge stiffness on A, not on b

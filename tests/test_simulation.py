@@ -1,9 +1,7 @@
 """Exact switched-cycle simulation: propagation, classification, orbits."""
 
 import dataclasses
-import glob
 import math
-import os
 import re
 
 import mpmath
@@ -36,7 +34,7 @@ from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
 from subharmonic.simulation import _propagator_stacks, _taylor_terms
 
-from conftest import config_path
+from conftest import config_names, config_path
 from test_sampled import SCENARIOS, _scenario
 
 
@@ -67,8 +65,7 @@ def test_repeated_compensator_poles_rejected(ex3):
 # ----------------------------------------------------- single-cycle stepping
 
 
-SIM_CONFIGS = sorted(
-    os.path.basename(p) for p in glob.glob(config_path("*_sim*.cfg")))
+SIM_CONFIGS = config_names("*_sim*.cfg")
 
 
 def test_first_order_cycle_against_closed_form(ex1, rlp8):
@@ -189,8 +186,7 @@ def test_batched_grids_match_one_product_at_a_time(name, ex1, ex2, sch2, ex3,
         assert np.array_equal(grids, np.array(chain)), name
 
 
-POLES_CONFIGS = sorted(
-    os.path.basename(p) for p in glob.glob(config_path("*_poles.cfg")))
+POLES_CONFIGS = config_names("*_poles.cfg")
 ENGINE_ARRAYS = ("Phi_on", "Phi_off", "C", "W", "yPhi_on", "yP_on")
 
 
@@ -258,8 +254,7 @@ def test_too_stiff_engine_names_the_norm_and_the_grid_that_passes(ex2, sch2):
         CycleEngine(loop, need - 1)
 
 
-@pytest.mark.parametrize("name", sorted(
-    os.path.basename(p) for p in glob.glob(config_path("*.cfg"))))
+@pytest.mark.parametrize("name", config_names("*.cfg"))
 def test_taylor_stack_drops_only_a_negligible_tail(name):
     # each stage's stack ends where theta_M theta_A^(j-1) / j! < 1e-22, a
     # bound on the 1-norm of M^j / j!: the terms it leaves out sum below
@@ -396,11 +391,12 @@ SIM_VERDICTS = {
 }
 
 
-@pytest.mark.parametrize("factor", [1e-9, 1e-12])
+@pytest.mark.parametrize("factor", [1e-9, 1e-12, 1e6, 1e9])
 @pytest.mark.parametrize("name", SIM_CONFIGS)
 def test_classification_ignores_the_voltage_scale(name, factor):
     # the loop is linear in the voltages, so scaling all four scales every
-    # state and keeps the period: a swing on tiny states is still a swing
+    # state and keeps the period: a swing on tiny states is still a swing,
+    # and the default divergence bound scales with the states
     cfg = load_config(config_path(name))
     p = cfg.params
     params = dataclasses.replace(p, v_s=p.v_s * factor, v_r=p.v_r * factor,
@@ -424,11 +420,8 @@ def test_divergence_carries_partial_trace(ex1, rlp8):
     assert 1 <= len(tr.duties) < 128
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_divergence_on_non_finite_state(ex1, rlp8, monkeypatch, bad):
-    # the sixth step (cycle 5, counting from 0) returns a NaN or inf
-    # state, which fails the bound test at once: the partial trace holds
-    # the initial state, five finite states and the poisoned one
+def _poison_sixth_step(monkeypatch, bad):
+    # the sixth step (cycle 5, counting from 0) returns the state bad
     step = CycleEngine.step
     calls = []
 
@@ -438,6 +431,15 @@ def test_divergence_on_non_finite_state(ex1, rlp8, monkeypatch, bad):
         return (np.full_like(x_T, bad) if len(calls) == 6 else x_T), duty
 
     monkeypatch.setattr(CycleEngine, "step", poisoned)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_divergence_on_non_finite_state(ex1, rlp8, monkeypatch, bad):
+    # a NaN or infinite state fails the bound test at once, as it fails
+    # np.abs(x).max() <= bound: the partial trace holds the initial state,
+    # five finite states and the poisoned one
+    assert not np.abs(np.full(1, bad)).max() <= 1e6
+    _poison_sixth_step(monkeypatch, bad)
     with pytest.raises(Divergence, match="at cycle 6") as info:
         simulate(ex1, rlp8, cycles=128)
     tr = info.value.trace
@@ -445,6 +447,23 @@ def test_divergence_on_non_finite_state(ex1, rlp8, monkeypatch, bad):
     assert tr.strobe.shape[0] == 7 and len(tr.duties) == 6
     assert np.all(np.isfinite(tr.strobe[:6]))
     np.testing.assert_array_equal(tr.strobe[6], bad)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("over", [False, True])
+def test_divergence_bound_is_inclusive(ex1, rlp8, monkeypatch, sign, over):
+    # a state of magnitude exactly the bound passes, and one ulp over it
+    # raises at that cycle; the RL loop pulls a passing state back
+    bound = 1e3
+    bad = sign * (np.nextafter(bound, np.inf) if over else bound)
+    assert (np.abs(np.full(1, bad)).max() <= bound) != over
+    _poison_sixth_step(monkeypatch, bad)
+    if over:
+        with pytest.raises(Divergence, match="at cycle 6"):
+            simulate(ex1, rlp8, cycles=128, divergence_bound=bound)
+    else:
+        tr = simulate(ex1, rlp8, cycles=128, divergence_bound=bound)
+        assert tr.strobe[6, 0] == bad
 
 
 def _plain_step_loop(eng, x, cycles):
@@ -457,15 +476,28 @@ def _plain_step_loop(eng, x, cycles):
     return np.array(strobe), np.array(duties)
 
 
+def _plain_repeat(strobe, dense_from):
+    # the first (j, k - j) with x_k equal to an earlier x_j bit for bit,
+    # found by a plain-stepped state (k < dense_from); None if none is
+    seen = {}
+    for k, row in enumerate(strobe[:dense_from]):
+        j = seen.setdefault(row.tobytes(), k)
+        if j < k:
+            return j, k - j
+    return None
+
+
 @pytest.mark.parametrize("name,repeats", [
     ("ex1_sim_kp9", True),
     ("ex2_sim_081", True),
     ("ex3_sim", True),
     ("ex4_sim_024", False),
+    ("ex4_sim_060", True),
 ])
 def test_copied_strobe_equals_a_plain_step_loop(name, repeats):
-    # the strobe re-enters an earlier state bit for bit on the first three
-    # configs, and the copy from there on must be what stepping gives
+    # the strobe re-enters an earlier state bit for bit on all configs but
+    # ex4_sim_024, and the copy from there on, dense tail included, must
+    # be what stepping gives; ex4_sim_060's period outlasts the tail
     cfg = load_config(config_path(f"{name}.cfg"))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
     tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True,
@@ -474,8 +506,15 @@ def test_copied_strobe_equals_a_plain_step_loop(name, repeats):
     assert np.array_equal(tr.strobe, strobe)
     assert np.array_equal(tr.duties, duties)
     assert (len({row.tobytes() for row in strobe}) < len(strobe)) == repeats
-    xs = np.vstack([eng.step_dense(x)[2] for x in strobe[-65:-1]])
-    assert np.array_equal(tr.dense.x, xs)
+    dense_from = cfg.cycles - 64
+    assert tr.repeat == _plain_repeat(strobe, dense_from)
+    assert (tr.repeat is not None) == repeats
+    xs, ys, vds = zip(*(eng.step_dense(x)[2:] for x in strobe[dense_from:-1]))
+    t = [k * eng.T + np.arange(eng.grid) * eng.dt
+         for k in range(dense_from, cfg.cycles)]
+    for got, want in ((tr.dense.t, t), (tr.dense.x, xs), (tr.dense.y, ys),
+                      (tr.dense.v_d, vds)):
+        assert np.array_equal(got, np.concatenate(want))
 
 
 def _count_calls(monkeypatch, *names):
@@ -501,14 +540,21 @@ def test_repeat_skips_the_remaining_steps(monkeypatch):
 
 @pytest.mark.parametrize("dense_cycles", [0, 8, 64, 5000])
 def test_dense_tail_is_stepped_in_full(monkeypatch, dense_cycles):
-    # a repeat copies plain cycles only: every dense cycle is stepped,
-    # and dense_cycles above cycles densifies the whole run
+    # the strobe repeats with period 4 before the tail, so only the first
+    # min(n_dense, 4) dense cycles are stepped and the rest copied;
+    # dense_cycles above cycles densifies the whole run, which leaves no
+    # plain state to repeat, so every cycle is stepped
     cfg = load_config(config_path("ex1_sim_kp9.cfg"))
     calls = _count_calls(monkeypatch, "step", "step_dense")
     tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True,
                   dense_cycles=dense_cycles)
     n_dense = min(dense_cycles, cfg.cycles)
-    assert calls["step_dense"] == n_dense
+    if n_dense < cfg.cycles:
+        assert tr.repeat == (176, 4)
+        assert calls["step_dense"] == min(n_dense, 4)
+    else:
+        assert tr.repeat is None
+        assert calls["step_dense"] == n_dense == 2112
     assert calls["step"] < cfg.cycles - n_dense or calls["step"] == 0
     if n_dense:
         assert tr.dense.x.shape[0] == n_dense * 64
@@ -519,6 +565,13 @@ def test_dense_tail_is_stepped_in_full(monkeypatch, dense_cycles):
 def test_negative_dense_cycles_rejected(ex1, rlp8):
     with pytest.raises(DomainError, match="dense_cycles"):
         simulate(ex1, rlp8, cycles=128, dense=True, dense_cycles=-5)
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+def test_non_positive_divergence_bound_rejected(ex1, rlp8, bound):
+    # a caller's error, not a divergence reported at cycle 1
+    with pytest.raises(DomainError, match="divergence_bound"):
+        simulate(ex1, rlp8, cycles=128, divergence_bound=bound)
 
 
 def test_dense_trace_structure(ex3, sch4_at):
