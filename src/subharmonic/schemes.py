@@ -6,9 +6,9 @@ boundary is L = 1 and L < 1 is the stable side.  The formulas here are
 algebraic in the kernel functions of ``transform``; the series oracle and
 the switched simulator provide independent cross-checks.
 
-A scheme is one class: its config keys, loop gain, nominal duty, closed
-form, critical solves and closed-loop wiring are all declared on it (see
-``ControlScheme``), and the module-level functions dispatch to it.
+A scheme is one class declaring its config keys, closed-loop wiring, closed
+form and critical solves; its loop gain and nominal duty derive from the
+wiring (see ``ControlScheme``), and the module-level functions dispatch to it.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._roots import bisect, brentq
-from .errors import DomainError, MissingParameter, NoRoot
+from .errors import DomainError, MissingParameter, NoRoot, UnsupportedStructure
 from .tf import RationalTF
 from .transform import _check_duty, _maybe_scalar, alpha, alpha0, alpha1
 
@@ -93,6 +93,11 @@ class BuckParams:
     R_c: float = 0.0
 
     def __post_init__(self):
+        # fields, not vars(self), whose __dict__ slows every later attribute read
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite")
         if not self.v_s > 0.0:
             raise DomainError("v_s must be positive")
         if not self.f_s > 0.0:
@@ -142,8 +147,14 @@ def _require_vm(params: BuckParams) -> float:
     return params.V_m
 
 
-def _check_zc(params: BuckParams, scheme: "ACMC") -> None:
-    if scheme.z_c >= params.omega_s / 2.0:
+def _sensed_gain(w: "Wiring") -> float:
+    if (w.i_gain == 0.0) == (w.v_gain == 0.0):
+        raise UnsupportedStructure("the loop must sense exactly one of i_L and v_o")
+    return w.i_gain or w.v_gain
+
+
+def _check_zc(params: BuckParams, z_c: float) -> None:
+    if z_c >= params.omega_s / 2.0:
         # attribute the warning to the first caller outside the package
         frame, level = sys._getframe(1), 2
         while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
@@ -172,8 +183,9 @@ class Wiring:
     """How a scheme closes the loop around its power stage.
 
     The modulator input is y = C(s) [v_r - (i_gain i_L + v_gain v_o)] with
-    C(s) = gain prod(1 + s/z) / (s^integrators prod(1 + s/p)); the power
+    C(s) = gain prod(1 + s/z_c) / (s^integrators prod(1 + s/p)); the power
     stage is the LC filter, or the single-state RL plant when rl_plant.
+    Exactly one of i_gain and v_gain is nonzero.
     """
 
     i_gain: float
@@ -193,10 +205,10 @@ class ControlScheme:
     """Base of the control schemes; each scheme is one frozen dataclass.
 
     The dataclass fields are the scheme's config keys, each a positive
-    number.  A scheme provides:
+    finite number.  A scheme provides:
 
-    - ``loop_gain_hf(params)``: its high-frequency loop gain T(s)
-    - ``nominal_duty(params)``: the steady-state duty its references imply
+    - ``wiring(params)``: the closed loop the simulator assembles, from
+      which the base class derives ``loop_gain_hf`` and ``nominal_duty``
     - ``lvalue(params, D)``: the closed-form L = F[T] at duty D, of the
       same T (schemes with a compensator pole omega_p also take the pole
       ratio p); D and p may be arrays, and a scalar D and p give a float
@@ -206,7 +218,6 @@ class ControlScheme:
       f_s times L at a unit ramp (defined at V_m = 0 too), and scans D;
       a scheme overrides ``_critical``, which also takes L at D when the
       caller holds it, so no solve evaluates L twice at one duty
-    - ``wiring(params)``: the closed loop the simulator assembles
 
     ``duty_depends_on`` names the solve variables the nominal duty moves
     with; ``solve_critical`` finds those by a coupled root search unless
@@ -217,8 +228,42 @@ class ControlScheme:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not value > 0.0:
-                raise DomainError(f"{name} must be positive")
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+
+    def loop_gain_hf(self, params):
+        """The wiring's high-frequency reduction T(s): the LC plant's L and
+        C act as integrators and its ESR zero 1/(R_c C) stays unless a
+        compensator pole cancels it; the RL plant is exact; each compensator
+        zero z_c becomes s/z_c; the modulator gives v_s / V_m."""
+        V_m = _require_vm(params)
+        w = self.wiring(params)
+        num, den = params.v_s * _sensed_gain(w) * w.gain, V_m
+        zeros, poles, m = [], list(w.poles), w.integrators - len(w.zeros)
+        if w.rl_plant:  # i_L = v_d / (R + s L) and v_o = R i_L
+            den *= params.R if w.i_gain else 1.0
+            poles.append(params.R / params.L)
+        elif w.i_gain:
+            den, m = den * params.L, m + 1
+        else:
+            C = params.require_C()
+            num, den, m = num * params.rho, den * params.L * C, m + 2
+            if params.R_c > 0.0:
+                esr = 1.0 / (params.R_c * C)
+                if esr in poles:
+                    poles.remove(esr)
+                else:
+                    zeros.append(esr)
+        for z in w.zeros:
+            _check_zc(params, z)
+            den *= z
+        return RationalTF(num / den, zeros=zeros, poles=poles, integrators=m)
+
+    def nominal_duty(self, params):
+        """The duty at which the sensed quantity meets v_r, with v_o = D v_s."""
+        w = self.wiring(params)
+        target = params.v_r * params.R if w.i_gain else params.v_r
+        return target / (_sensed_gain(w) * params.v_s)
 
     def critical(self, params: BuckParams, solve_for: str, D: float) -> float:
         return self._critical(params, solve_for, D, None)
@@ -247,14 +292,6 @@ class ControlScheme:
 class CMC(ControlScheme):
     """Peak current-mode control: y = i_c - i_L with unit current gain."""
 
-    def loop_gain_hf(self, params):
-        V_m = _require_vm(params)
-        return RationalTF(params.v_s / (params.L * V_m), integrators=1)
-
-    def nominal_duty(self, params):
-        # v_r doubles as the current command i_c
-        return params.v_r * params.R / params.v_s
-
     def lvalue(self, params, D):
         # with zero ramp amplitude the boundary D = 1/2 is reported through
         # the renormalized L = 2D, which crosses 1 exactly where the
@@ -277,6 +314,7 @@ class CMC(ControlScheme):
         return super()._critical(params, solve_for, D, lv)
 
     def wiring(self, params):
+        # v_r doubles as the current command i_c
         return Wiring(i_gain=1.0, v_gain=0.0, gain=1.0)
 
 
@@ -285,18 +323,6 @@ class PVMC(ControlScheme):
     """Proportional voltage-mode control, y = k_p (v_r - v_o)."""
 
     k_p: float
-
-    def loop_gain_hf(self, params):
-        """T(s) = (v_s k_p rho / V_m L C)(1 + s R_c C) / s^2, the double
-        integrator ``lvalue`` transforms; with no ESR it has no zero."""
-        V_m = _require_vm(params)
-        C = params.require_C()
-        scale = params.v_s * self.k_p * params.rho / (V_m * params.L * C)
-        zeros = [1.0 / (params.R_c * C)] if params.R_c > 0.0 else []
-        return RationalTF(scale, zeros=zeros, integrators=2)
-
-    def nominal_duty(self, params):
-        return params.v_r / params.v_s
 
     def lvalue(self, params, D):
         """L = (v_s k_p rho T^2 / 4 V_m L C) [(2 R_c C/T)(2D-1) + (2D^2-2D+1)]."""
@@ -322,9 +348,6 @@ class CFPVR(PVMC):
 
     duty_depends_on = ("v_s", "k_p")
 
-    def nominal_duty(self, params):
-        return params.v_r / (self.k_p * params.v_s)
-
     def wiring(self, params):
         return Wiring(i_gain=0.0, v_gain=self.k_p, gain=1.0)
 
@@ -337,10 +360,6 @@ class RLP(ControlScheme):
     # the critical gain carries its own duty (see rlp_critical_kp), so no
     # solve depends on the present one
     duty_depends_on = ()
-
-    def loop_gain_hf(self, params):
-        V_m = _require_vm(params)
-        return RationalTF(params.v_s * self.k_p / V_m, poles=[params.R / params.L])
 
     def nominal_duty(self, params):
         # no integrator: the exact modulator equation sets the duty
@@ -386,21 +405,12 @@ class ACMC(_PoleLoop):
     z_c: float
     omega_p: float
 
-    def loop_gain_hf(self, params):
-        V_m = _require_vm(params)
-        _check_zc(params, self)
-        scale = params.v_s * self.R_s * self.K_c / (V_m * self.z_c * params.L)
-        return RationalTF(scale, poles=[self.omega_p], integrators=1)
-
     def gain(self, params):
         """K = v_s R_s K_c / (V_m z_c L omega_s)."""
         V_m = _require_vm(params)
-        _check_zc(params, self)
+        _check_zc(params, self.z_c)
         return (params.v_s * self.R_s * self.K_c
                 / (V_m * self.z_c * params.L * params.omega_s))
-
-    def nominal_duty(self, params):
-        return params.v_r * params.R / (self.R_s * params.v_s)
 
     def wiring(self, params):
         return Wiring(i_gain=self.R_s, v_gain=0.0, gain=self.K_c,
@@ -420,19 +430,11 @@ class VMC3(_PoleLoop):
         if self.kappa_z > 2.0:
             raise DomainError("kappa_z must lie in (0, 2]")
 
-    def loop_gain_hf(self, params):
-        V_m = _require_vm(params)
-        scale = params.v_s * self.K_c * params.rho / (V_m * self.kappa_z)
-        return RationalTF(scale, poles=[self.omega_p], integrators=1)
-
     def gain(self, params):
         """K = v_s K_c rho / (V_m kappa_z omega_s)."""
         V_m = _require_vm(params)
         return (params.v_s * self.K_c * params.rho
                 / (V_m * self.kappa_z * params.omega_s))
-
-    def nominal_duty(self, params):
-        return params.v_r / params.v_s
 
     def wiring(self, params):
         C = params.require_C()
@@ -455,21 +457,18 @@ SCHEMES = {"cmc": CMC, "pvmc": PVMC, "cfpvr": CFPVR, "rlp": RLP,
 
 
 def loop_gain_hf(params: BuckParams, scheme: ControlScheme) -> RationalTF:
-    """The scheme's high-frequency loop-gain approximation T(s).
-
-    These are the shapes whose F-transforms reproduce the closed-form
-    critical conditions; ``closed_form_lvalue`` is their exact partner.
-    """
+    """The scheme's high-frequency loop-gain approximation T(s), reduced
+    from the ``wiring`` the simulator assembles (``ControlScheme``); its
+    F-transform is the closed form, ``closed_form_lvalue``."""
     return scheme.loop_gain_hf(params)
 
 
 def duty_ratio(params: BuckParams, scheme: ControlScheme) -> float:
     """Nominal steady-state duty cycle implied by the references.
 
-    Uses the ideal DC relation v_o = D v_s with the scheme's regulation
-    target (v_o -> v_r for voltage loops, i_L -> reference for current
-    loops); the RL loop, having no integrator, solves its exact modulator
-    equation instead.
+    The scheme's ``nominal_duty``, which the base class derives from the
+    wiring (v_o = D v_s with the sensed quantity at v_r) and the RL loop,
+    having no integrator, takes from its exact modulator equation.
     """
     D = scheme.nominal_duty(params)
     if not 0.0 < D < 1.0:

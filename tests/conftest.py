@@ -1,5 +1,6 @@
 """Shared fixtures: the four benchmark converter setups used throughout."""
 
+import dataclasses
 import glob
 import math
 import os
@@ -63,6 +64,21 @@ def rlp8():
 
 def config_path(name):
     return os.path.abspath(os.path.join(CONFIG_DIR, name))
+
+
+def rescaled(params, scheme, volts=1.0, time=1.0):
+    """The same loop with every voltage times volts and time stretched
+    time-fold: f_s / time, L and C times time, and the compensator's z_c,
+    omega_p and integrator gain K_c divided by time.  Its states scale
+    with volts, its cycle map's multipliers and its period stay."""
+    C = None if params.C is None else params.C * time
+    params = dataclasses.replace(
+        params, v_s=params.v_s * volts, v_r=params.v_r * volts,
+        V_l=params.V_l * volts, V_h=params.V_h * volts,
+        f_s=params.f_s / time, L=params.L * time, C=C)
+    rates = {name: getattr(scheme, name) / time
+             for name in ("z_c", "omega_p", "K_c") if hasattr(scheme, name)}
+    return params, dataclasses.replace(scheme, **rates)
 
 
 def config_names(pattern):

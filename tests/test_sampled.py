@@ -27,7 +27,7 @@ from subharmonic import (
 from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
 
-from conftest import config_names, config_path
+from conftest import config_names, config_path, rescaled
 
 
 def _sch2_at(sch2, ex2, ratio):
@@ -337,22 +337,23 @@ def test_failed_points_stay_per_point_in_a_batched_sweep(ex1, ex2, sch2, case):
 @pytest.mark.parametrize("name", config_names("*_poles.cfg"))
 def test_multipliers_do_not_depend_on_the_voltage_scale(name):
     # every voltage times k scales the states by k and leaves the cycle map's
-    # multipliers alone; the engine must judge stiffness on A, not on b
+    # multipliers alone; the engine must judge stiffness on A, not on b.
+    # Time stretched k-fold leaves them alone too.
     cfg = load_config(config_path(name))
     base = cfg.sweep.grid()
 
-    def run(k):
-        params = dataclasses.replace(
-            cfg.params, v_s=k * cfg.params.v_s, v_r=k * cfg.params.v_r,
-            V_l=k * cfg.params.V_l, V_h=k * cfg.params.V_h)
-        grid = k * base if cfg.sweep.variable == "v_s" else base
-        traj = pole_trajectory(params, cfg.scheme, cfg.sweep.variable, grid)
+    def run(volts, time=1.0):
+        params, scheme = rescaled(cfg.params, cfg.scheme, volts, time)
+        grid = volts * base if cfg.sweep.variable == "v_s" else base
+        traj = pole_trajectory(params, scheme, cfg.sweep.variable, grid)
         assert traj.errors == ()
         return traj.tracks()
 
     ref = run(1.0)
     for k in (1e-9, 1e-6, 1e3, 1e6, 1e8, 1e9):
         assert np.max(np.abs(run(k) - ref)) <= 1e-12
+    for k in (1e-6, 1e6):
+        assert np.max(np.abs(run(1.0, time=k) - ref)) <= 1e-12
 
 
 def test_too_coarse_engine_grid_is_rejected_once(ex1):

@@ -19,6 +19,7 @@ from subharmonic import (
     ControlScheme,
     DomainError,
     NoRoot,
+    UnsupportedStructure,
     acmc_gain,
     acmc_min_ramp,
     acmc_window_estimate,
@@ -734,10 +735,13 @@ def test_compensator_zero_near_the_switching_frequency_warns(ex2, sch2):
         wide.lvalue(ex2, D)
     with pytest.warns(UserWarning, match="compensator zero z_c"):
         wide.critical(ex2, "v_s", D)
+    with pytest.warns(UserWarning, match="compensator zero z_c"):
+        loop_gain_hf(ex2, wide)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sch2.lvalue(ex2, D)
         sch2.critical(ex2, "v_s", D)
+        loop_gain_hf(ex2, sch2)
 
 
 def test_compensator_zero_warning_names_the_caller(ex2, sch2):
@@ -751,6 +755,7 @@ def test_compensator_zero_warning_names_the_caller(ex2, sch2):
         lambda: lplot(ex2, wide, "D", np.linspace(0.1, 0.9, 9)),
         lambda: wide.critical(ex2, "m_a", D),
         lambda: acmc_min_ramp(ex2, wide, D),
+        lambda: loop_gain_hf(ex2, wide),
     ]
     for call in calls:
         with warnings.catch_warnings(record=True) as seen:
@@ -758,3 +763,43 @@ def test_compensator_zero_warning_names_the_caller(ex2, sch2):
             call()
         assert seen
         assert {w.filename for w in seen} == {__file__}
+
+
+# ------------------------------------------------- derived from the wiring
+
+
+@dataclasses.dataclass(frozen=True)
+class _BothSensed(ControlScheme):
+    """A loop summing i_L and v_o, which the reduction does not handle."""
+
+    k_p: float
+
+    def wiring(self, params):
+        return schemes.Wiring(i_gain=1.0, v_gain=1.0, gain=self.k_p)
+
+
+def test_a_loop_sensing_current_and_voltage_is_unsupported():
+    scheme = _BothSensed(k_p=2.0)
+    with pytest.raises(UnsupportedStructure, match="exactly one of i_L and v_o"):
+        loop_gain_hf(PLANT_100K, scheme)
+    with pytest.raises(UnsupportedStructure, match="exactly one of i_L and v_o"):
+        duty_ratio(PLANT_100K, scheme)
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def _fields():
+    for record in [PLANT_100K] + [scheme for _, scheme in _six_schemes()]:
+        for f in dataclasses.fields(record):
+            yield pytest.param(record, f.name,
+                               id=f"{type(record).__name__}-{f.name}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record,field", list(_fields()))
+def test_non_finite_fields_are_rejected(record, field, value):
+    # a nan or infinite voltage, frequency, element or gain has no verdict
+    # (V_h = inf would give L = 0, read as stable)
+    with pytest.raises(DomainError, match=f"{field} must be"):
+        dataclasses.replace(record, **{field: value})

@@ -11,7 +11,9 @@ from scipy.linalg import expm as scipy_expm
 
 import subharmonic.simulation as simulation
 from subharmonic import (
+    CFPVR,
     CMC,
+    PVMC,
     RLP,
     VMC3,
     BuckParams,
@@ -23,6 +25,7 @@ from subharmonic import (
     UnsupportedStructure,
     build_closed_loop,
     cycle_jacobian,
+    loop_gain_hf,
     poles,
     ripple_check,
     rlp_steady_duty,
@@ -34,7 +37,7 @@ from subharmonic.config import load_config
 from subharmonic.schemes import sweep_point
 from subharmonic.simulation import _propagator_stacks, _taylor_terms
 
-from conftest import config_names, config_path
+from conftest import config_names, config_path, rescaled
 from test_sampled import SCENARIOS, _scenario
 
 
@@ -60,6 +63,34 @@ def test_repeated_compensator_poles_rejected(ex3):
     sch = VMC3(K_c=7.78e4, kappa_z=0.5, omega_p=wp)
     with pytest.raises(UnsupportedStructure):
         build_closed_loop(ex3, sch)
+
+
+def _assembly_cases():
+    for name in config_names("*.cfg"):
+        cfg = load_config(config_path(name))
+        if cfg.params.V_m > 0.0:
+            yield pytest.param(cfg.params, cfg.scheme, id=name)
+    plant = BuckParams(v_s=12.0, v_r=3.3, V_l=0.0, V_h=1.0, f_s=100e3,
+                       L=10e-6, R=1.0, C=100e-6)
+    for R_c in (0.05, 0.0):
+        for scheme in (CMC(), PVMC(k_p=4.0), CFPVR(k_p=0.5)):
+            yield pytest.param(dataclasses.replace(plant, R_c=R_c), scheme,
+                               id=f"{type(scheme).__name__}_Rc{R_c}")
+
+
+@pytest.mark.parametrize("params,scheme", list(_assembly_cases()))
+def test_assembled_loop_tends_to_the_scheme_loop_gain(params, scheme):
+    # loop_gain_hf and the simulator both read the wiring, so the assembly
+    # answers for itself: the loop from a duty step, -y (sI - A)^-1
+    # (b_on - b_off) / V_m, must meet T(s) as s -> j inf, its gap falling
+    # about tenfold per decade (the RL loop is exact)
+    loop = build_closed_loop(params, scheme)
+    T = loop_gain_hf(params, scheme)
+    for k, bound in ((100.5, 3e-4), (1000.5, 3e-5)):
+        s = 1j * k * params.omega_s
+        x = np.linalg.solve(s * np.eye(loop.dim) - loop.A, loop.b_on - loop.b_off)
+        assembled = -(loop.y_row @ x) / params.V_m
+        assert abs(assembled - T(s)) <= bound * abs(T(s)), k
 
 
 # ----------------------------------------------------- single-cycle stepping
@@ -391,17 +422,18 @@ SIM_VERDICTS = {
 }
 
 
-@pytest.mark.parametrize("factor", [1e-9, 1e-12, 1e6, 1e9])
+@pytest.mark.parametrize("factor", [1e-9, 1e-12, 1e6, 1e9] + [
+    pytest.param((1.0, k), id=f"time{k:g}") for k in (1e-6, 1e6)])
 @pytest.mark.parametrize("name", SIM_CONFIGS)
 def test_classification_ignores_the_voltage_scale(name, factor):
     # the loop is linear in the voltages, so scaling all four scales every
     # state and keeps the period: a swing on tiny states is still a swing,
-    # and the default divergence bound scales with the states
+    # and the default divergence bound scales with the states.  A factor
+    # (volts, time) stretches time instead, which keeps the period too.
     cfg = load_config(config_path(name))
-    p = cfg.params
-    params = dataclasses.replace(p, v_s=p.v_s * factor, v_r=p.v_r * factor,
-                                 V_l=p.V_l * factor, V_h=p.V_h * factor)
-    tr = simulate(params, cfg.scheme, cycles=cfg.cycles)
+    volts, time = factor if isinstance(factor, tuple) else (factor, 1.0)
+    params, scheme = rescaled(cfg.params, cfg.scheme, volts, time)
+    tr = simulate(params, scheme, cycles=cfg.cycles)
     assert tr.classification == SIM_VERDICTS[name]
 
 
@@ -621,9 +653,7 @@ def test_orbit_confirmation_does_not_depend_on_the_voltage_scale(
     x, d = steady_state(cfg.params, cfg.scheme)
 
     def confirm(k):
-        p = cfg.params
-        params = dataclasses.replace(p, v_s=p.v_s * k, v_r=p.v_r * k,
-                                     V_l=p.V_l * k, V_h=p.V_h * k)
+        params, _ = rescaled(cfg.params, cfg.scheme, k)
         monkeypatch.setattr(simulation, "_orbit_duties",
                             lambda eng: [(k * x * (1.0 + 1e-6), d)])
         try:
