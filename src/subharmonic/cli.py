@@ -318,21 +318,15 @@ def cmd_poles(cfg: RunConfig) -> int:
     for i in range(1, dim + 1):
         header += [f"re_{i}", f"im_{i}"]
     header.append("error")
-
-    def rows():
-        for k, v in enumerate(grid):
-            ps = traj.pole_sets[k]
-            row = [_fmt(v)]
-            if ps is None:
-                row += ["nan", "nan"] * dim
-                row.append(_csv_str(err_by_value.get(float(v), "failed")))
-            else:
-                for z in ps.eigenvalues:
-                    row += [_fmt(z.real), _fmt(z.imag)]
-                row.append("")
-            yield _line(row)
-
-    _write_csv(out, header, rows())
+    eigs = np.full((len(grid), dim), complex(np.nan, np.nan))
+    errors = np.full(len(grid), "", dtype=object)
+    for k, (v, ps) in enumerate(zip(grid.tolist(), traj.pole_sets)):
+        if ps is None:
+            errors[k] = _csv_str(err_by_value.get(v, "failed"))
+        else:
+            eigs[k] = ps.eigenvalues
+    # a complex row viewed as floats is re_1, im_1, re_2, im_2, ...
+    _write_csv(out, header, _float_rows(grid, eigs.view(float), errors))
     print(f"poles: {len(grid)} points over {sweep.variable}, wrote {out}")
     for c in traj.crossings:
         print(f"crossing: {c.direction} at {sweep.variable} = {_fmt(c.value)} "

@@ -33,8 +33,8 @@ from .errors import (
     UnsupportedStructure,
 )
 from .schemes import BuckParams, ControlScheme, sweep_point
-from .simulation import CycleEngine, build_closed_loop, cycle_jacobian, steady_state
-from .simulation import _propagator_stacks
+from .simulation import CycleEngine, build_closed_loop, cycle_jacobian
+from .simulation import _orbit, _propagator_stacks
 
 __all__ = [
     "PoleSet",
@@ -99,21 +99,6 @@ def poincare_jacobian(
     return cycle_jacobian(eng, x, rel, interior=True)
 
 
-def _orbit_jacobian(eng: CycleEngine, x: np.ndarray) -> np.ndarray:
-    """Exact cycle-map Jacobian at an orbit state; saturated duty is degenerate.
-
-    Reuses the Jacobian steady_state left on the engine when x is the
-    orbit it returned.
-    """
-    orbit_x, J = eng.orbit
-    if orbit_x is x:
-        return J
-    _, duty, J = eng.step_jacobian(x)
-    if J is None:
-        raise DegenerateOrbit(f"orbit duty {duty} is saturated")
-    return J
-
-
 def poles(
     params: BuckParams,
     scheme: ControlScheme,
@@ -122,13 +107,13 @@ def poles(
 ) -> PoleSet:
     """Cycle-map eigenvalues at the period-1 orbit of an operating point.
 
-    The eigenvalues are those of the exact (saltation-matrix) Jacobian.
-    ``steady_state`` rejects a saturated or grazing orbit as a candidate,
-    so an operating point with no other raises NoConvergence.
+    The eigenvalues are those of the exact (saltation-matrix) Jacobian
+    that the orbit solve returns with the orbit.  The solve rejects a
+    saturated or grazing orbit as a candidate, so an operating point with
+    no other raises NoConvergence.
     """
     eng = CycleEngine(build_closed_loop(params, scheme), grid)
-    x, _ = steady_state(params, scheme, x_init=x_init, engine=eng)
-    return PoleSet(_canonical(np.linalg.eigvals(_orbit_jacobian(eng, x))))
+    return PoleSet(_canonical(np.linalg.eigvals(_orbit(eng, x_init)[2])))
 
 
 @dataclass(frozen=True)
@@ -209,8 +194,8 @@ def pole_trajectory(
 ) -> PoleTrajectory:
     """Track cycle-map eigenvalues along a parameter sweep.
 
-    Each point solves its own period-1 orbit with ``steady_state`` and
-    takes the exact Jacobian J there, so its eigenvalues are those
+    Each point solves its own period-1 orbit, whose solve returns the
+    exact Jacobian J there, so its eigenvalues are those
     ``poles`` gives at that value, whatever the sweep's order; they are
     matched point to point for continuity.  A real eigenvalue crosses -1
     exactly where det(I + J) changes sign, so each -1 crossing seen
@@ -249,8 +234,7 @@ def pole_trajectory(
         eng = engines.get(value)
         if eng is None:
             eng = CycleEngine(build_closed_loop(*at(value)[:2]), grid)
-        x, _ = steady_state(eng.loop.params, eng.loop.scheme, engine=eng)
-        return _orbit_jacobian(eng, x)
+        return _orbit(eng)[2]
 
     def det_i_plus_j(value):
         J = jacobian_at(value)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,11 +93,12 @@ class BuckParams:
     R_c: float = 0.0
 
     def __post_init__(self):
-        # fields, not vars(self), whose __dict__ slows every later attribute read
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # the class's field names: vars(self) would build the instance
+        # __dict__, which slows every later attribute read
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite")
+                raise DomainError(f"{name} must be finite")
         if not self.v_s > 0.0:
             raise DomainError("v_s must be positive")
         if not self.f_s > 0.0:
@@ -227,8 +228,9 @@ class ControlScheme:
     duty_depends_on: Tuple[str, ...] = ("v_s",)
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not 0.0 < value < math.inf:
+        # the class's field names, not vars(self), as in BuckParams
+        for name in self.__dataclass_fields__:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
 
     def loop_gain_hf(self, params):

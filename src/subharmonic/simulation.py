@@ -68,10 +68,10 @@ def _modal_parts(scale, zeros, poles, integrators):
         lead /= float(z)
     if not den_roots:
         return [], [], lead  # a static gain has no modes
-    span = max(1.0, max(abs(q) for q in den_roots))
+    # each gap against its own pair: no unit of rate enters the test
     qs = sorted(den_roots)
     for a, b in zip(qs, qs[1:]):
-        if abs(b - a) <= 1e-9 * span:
+        if b - a <= 1e-9 * max(abs(a), abs(b)):
             raise UnsupportedStructure(
                 "repeated or near-coincident compensator poles are not "
                 "supported by the modal realization"
@@ -259,7 +259,8 @@ class CycleEngine:
     ``step_jacobian`` and ``step_dense`` all run that one cycle, so they
     return bit-identical (x(T), duty).  The stacks come from
     ``_propagator_stacks``, for this loop alone or (via _stacks) from one
-    batch built for a sweep: the same bits.
+    batch built for a sweep: the same bits.  An engine holds no orbit;
+    ``_orbit`` returns one with its Jacobian.
     """
 
     def __init__(self, loop: ClosedLoop, grid: int = 64, *, _stacks=None):
@@ -291,9 +292,6 @@ class CycleEngine:
         self.h_slope_dt = p.V_m / grid
         # the orbit duty's root tolerance in subinterval units, 1e-13 T
         self.u_tol = 1e-13 * self.T / self.dt
-        # (x, J): the last period-1 orbit steady_state solved on this
-        # engine and the exact cycle-map Jacobian there
-        self.orbit = (None, None)
 
     def _crossing_in_cell(self, i: int, x_aug: np.ndarray, gap_lo: float,
                           gap_hi: float) -> float:
@@ -665,7 +663,7 @@ def cycle_jacobian(
 
 
 def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
-    """(x, d) at every sign change of det M(d) over the grid; see steady_state."""
+    """(x, d) at every sign change of det M(d) over the grid; see _orbit."""
     n, grid = eng.n, eng.grid
     m = n + 1
     lift = np.eye(n, m)
@@ -699,14 +697,10 @@ def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
     return found
 
 
-def steady_state(
-    params: BuckParams,
-    scheme: ControlScheme,
-    x_init="auto",
-    grid: int = 64,
-    engine: Optional[CycleEngine] = None,
-) -> Tuple[np.ndarray, float]:
-    """Period-1 switching orbit of the cycle map and its interior duty.
+def _orbit(eng: CycleEngine,
+           x_init="auto") -> Tuple[np.ndarray, float, np.ndarray]:
+    """Period-1 switching orbit of eng's loop: (x, duty, J), J the exact
+    cycle-map Jacobian at x.
 
     Both stages share A, so (x, d) is a switching orbit exactly when
     M(d) [x; 1] = 0: the top n rows of M(d) are those of the cycle
@@ -718,18 +712,14 @@ def steady_state(
     of M at the root, its volts column scaled to the size of the others.
 
     One exact Newton step with ``step_jacobian`` polishes x and a second
-    call confirms it: the residual is within 1e-12 max|x|, the
-    cycle switches at the root's duty (so the root is its first crossing)
-    and it neither saturates nor grazes the ramp.  Candidates that fail
-    are skipped; of those that pass, the one nearest x_init is returned.
-    The exact Jacobian there is left on the engine as
-    ``engine.orbit = (x, J)``.  Raises NoConvergence when no interior
-    switching orbit exists.
+    call confirms it and gives J: the residual is within 1e-12 max|x|,
+    the cycle switches at the root's duty (so the root is its first
+    crossing) and it neither saturates nor grazes the ramp.  Candidates
+    that fail are skipped; of those that pass, the one nearest x_init is
+    returned.  Raises NoConvergence when no interior switching orbit
+    exists.
     """
-    eng = engine if engine is not None else CycleEngine(
-        build_closed_loop(params, scheme), grid
-    )
-    x0 = _initial_state(params, scheme, x_init, eng.n)
+    x0 = _initial_state(eng.loop.params, eng.loop.scheme, x_init, eng.n)
     candidates = _orbit_duties(eng)
     candidates.sort(key=lambda c: float(np.linalg.norm(c[0] - x0)))
     for x, d in candidates:
@@ -743,13 +733,33 @@ def steady_state(
             continue  # the cycle grazes the ramp
         if (J is not None and abs(duty - d) <= 1e-9
                 and np.abs(fx - x).max() <= 1e-12 * np.abs(x).max()):
-            eng.orbit = (x, J)
-            return x, duty
+            return x, duty, J
     raise NoConvergence(
         "no interior period-1 switching orbit: "
         + (f"the cycle rejects all {len(candidates)} candidate duties"
            if candidates else "det M(d) keeps one sign over the duty grid")
     )
+
+
+def steady_state(
+    params: BuckParams,
+    scheme: ControlScheme,
+    x_init="auto",
+    grid: int = 64,
+    engine: Optional[CycleEngine] = None,
+) -> Tuple[np.ndarray, float]:
+    """Period-1 switching orbit of the cycle map and its interior duty.
+
+    The (x, duty) of ``_orbit`` on engine (built for params and scheme)
+    or on a fresh engine of the given grid.  The same solve returns the
+    exact Jacobian there to ``poles`` and ``pole_trajectory``; no engine
+    holds an orbit.  Raises NoConvergence when no interior switching
+    orbit exists.
+    """
+    eng = engine if engine is not None else CycleEngine(
+        build_closed_loop(params, scheme), grid
+    )
+    return _orbit(eng, x_init)[:2]
 
 
 def ripple_check(params: BuckParams, D) -> float:

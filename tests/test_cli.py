@@ -12,8 +12,15 @@ import sys
 import numpy as np
 import pytest
 
-from subharmonic import ConfigError, CycleEngine, cli, errors, simulate
-from subharmonic.config import load_config
+from subharmonic import (
+    ConfigError,
+    CycleEngine,
+    cli,
+    errors,
+    pole_trajectory,
+    simulate,
+)
+from subharmonic.config import load_config, parse_sweep
 from subharmonic.schemes import contour_data
 
 from conftest import config_path
@@ -276,6 +283,38 @@ def test_crossing_refinement_failure_is_reported(tmp_path, capsys,
     assert "no -1 crossings" not in stdout
     _, rows = read_csv(out)
     assert len(rows) == 11 and all(row[-1] == "" for row in rows)
+
+
+@pytest.mark.parametrize("name,sweep,failed,mark", [
+    ("ex1_poles.cfg", "v_s:6:11:6", 2, "NoConvergence"),  # no orbit below 8
+    ("ex2_poles.cfg", "p:0.3:100:3:log", 1, "‖A dt‖₁"),   # p = 100 is stiff
+])
+def test_poles_csv_is_the_per_cell_text_of_the_trajectory(
+        tmp_path, name, sweep, failed, mark):
+    # a failed point writes nan cells and its error text, the rest their
+    # eigenvalues
+    cfg = load_config(config_path(name))
+    spec = parse_sweep(sweep)
+    grid = spec.grid()
+    traj = pole_trajectory(cfg.params, cfg.scheme, spec.variable, grid)
+    errors = dict(traj.errors)
+    dim = max(len(ps.eigenvalues) for ps in traj.pole_sets if ps is not None)
+    lines = [[spec.variable] + [f"{part}_{i}" for i in range(1, dim + 1)
+                                for part in ("re", "im")] + ["error"]]
+    for v, ps in zip(grid.tolist(), traj.pole_sets):
+        if ps is None:
+            cells = ["nan"] * (2 * dim) + [cli._csv_str(errors[v])]
+        else:
+            cells = [cli._fmt(x) for z in ps.eigenvalues
+                     for x in (z.real, z.imag)] + [""]
+        lines.append([cli._fmt(v)] + cells)
+    assert sum(ps is None for ps in traj.pole_sets) == failed
+    out = tmp_path / "p.csv"
+    assert cli.main(["poles", "--config", config_path(name), "--sweep", sweep,
+                     "--out", str(out)]) == 0
+    text = "".join(",".join(cells) + "\n" for cells in lines)
+    assert out.read_bytes() == text.encode("utf-8")
+    assert mark in text
 
 
 # ------------------------------------------------------------ config layer

@@ -9,12 +9,14 @@ import pytest
 from scipy.linalg import expm
 
 import subharmonic.sampled as sampled
+import subharmonic.simulation as simulation
 from subharmonic import (
     ACMC,
     RLP,
     CycleEngine,
     DegenerateOrbit,
     DomainError,
+    NoConvergence,
     build_closed_loop,
     cycle_jacobian,
     lplot,
@@ -231,21 +233,29 @@ def test_orbit_does_not_depend_on_the_initial_guess(name, ex1, ex2, sch2,
 
 
 @pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
-def test_poles_rejects_saturated_orbit(name, ex1, ex2, sch2, ex3, sch4_at,
-                                       monkeypatch):
-    # steady_state never returns a saturated orbit, so hand poles one: the
-    # orbit state shifted along the output row until y starts below the ramp
+def test_saturated_orbit_candidate_is_skipped(name, ex1, ex2, sch2, ex3,
+                                              sch4_at, monkeypatch):
+    # the duty scan never finds a saturated orbit, so plant one: the orbit
+    # state shifted along the output row until y starts below the ramp
     params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
-    eng, x = _engine_at_orbit(params, scheme)
+    eng = CycleEngine(build_closed_loop(params, scheme))
+    x, d = steady_state(params, scheme, engine=eng)
     c = eng.loop.y_row
     y0 = c @ x + eng.loop.y_const
     x_sat = x - (y0 - params.V_l + 1.0) * c / (c @ c)
     _, duty, J = eng.step_jacobian(x_sat)
     assert duty == 0.0 and J is None
-    monkeypatch.setattr(sampled, "steady_state",
-                        lambda *args, **kwargs: (x_sat, duty))
-    with pytest.raises(DegenerateOrbit):
-        poles(params, scheme)
+    expected = poles(params, scheme, x_init=x_sat)
+    # at x_init, the saturated candidate is tried first and skipped
+    found = simulation._orbit_duties(eng)
+    monkeypatch.setattr(simulation, "_orbit_duties",
+                        lambda eng: [(x_sat, d)] + found)
+    assert poles(params, scheme, x_init=x_sat) == expected
+    # on its own, it leaves no orbit
+    monkeypatch.setattr(simulation, "_orbit_duties",
+                        lambda eng: [(x_sat, d)])
+    with pytest.raises(NoConvergence):
+        poles(params, scheme, x_init=x_sat)
 
 
 # ------------------------------------------------------------ trajectories
@@ -367,7 +377,7 @@ def test_too_coarse_engine_grid_is_rejected_before_any_orbit_solve(
     def no_solve(*args, **kwargs):
         raise AssertionError("an orbit was solved")
 
-    monkeypatch.setattr(sampled, "steady_state", no_solve)
+    monkeypatch.setattr(sampled, "_orbit", no_solve)
     with pytest.raises(DomainError, match="grid must be at least 4"):
         pole_trajectory(ex1, RLP(k_p=8.0), "k_p", values, grid=3)
 
@@ -426,8 +436,7 @@ def test_det_i_plus_j_sign_counts_real_multipliers_below_minus_one(name):
     at = sweep_point(cfg.params, cfg.scheme, cfg.sweep.variable)
     for v in cfg.sweep.grid():
         p, s, _ = at(v)
-        eng, _ = _engine_at_orbit(p, s)
-        J = eng.orbit[1]
+        J = simulation._orbit(CycleEngine(build_closed_loop(p, s)))[2]
         eigs = np.linalg.eigvals(J)
         reals = eigs[np.imag(eigs) == 0.0].real
         assert (np.sign(np.linalg.det(np.eye(len(J)) + J))

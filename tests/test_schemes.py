@@ -48,7 +48,7 @@ from subharmonic import (
 )
 from subharmonic import schemes
 from subharmonic.schemes import grid_crossings
-from conftest import config_path
+from conftest import config_names, config_path, rescaled
 from subharmonic.transform import (
     alpha,
     alpha0,
@@ -784,6 +784,25 @@ def test_a_loop_sensing_current_and_voltage_is_unsupported():
         loop_gain_hf(PLANT_100K, scheme)
     with pytest.raises(UnsupportedStructure, match="exactly one of i_L and v_o"):
         duty_ratio(PLANT_100K, scheme)
+
+
+def _pole_loop_cases():
+    for name in config_names("*.cfg"):
+        cfg = load_config(config_path(name))
+        if isinstance(cfg.scheme, (ACMC, VMC3)):
+            for volts, time in ((1.0, 1.0), (1e-6, 1.0), (1e6, 1.0),
+                                (1.0, 1e-6), (1.0, 1e6)):
+                yield pytest.param(
+                    *rescaled(cfg.params, cfg.scheme, volts, time),
+                    id=f"{name}-volts{volts:g}-time{time:g}")
+
+
+@pytest.mark.parametrize("params,scheme", list(_pole_loop_cases()))
+def test_pole_loop_gain_is_the_wiring_scale(params, scheme):
+    # each gain body writes K out for speed; it must be the scale of the
+    # wiring's T(s) over omega_s, to rounding
+    K = loop_gain_hf(params, scheme).scale / params.omega_s
+    assert scheme.gain(params) == pytest.approx(K, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------- inputs

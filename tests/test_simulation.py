@@ -65,6 +65,29 @@ def test_repeated_compensator_poles_rejected(ex3):
         build_closed_loop(ex3, sch)
 
 
+@pytest.mark.parametrize("time", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("ratio,builds", [(1.0 + 1e-7, True),
+                                          (1.0 + 3e-9, True),
+                                          (1.0 + 1e-10, False)])
+def test_near_coincident_poles_are_judged_in_any_time_unit(ex3, ratio,
+                                                           builds, time):
+    # the compensator pole a ratio off the esr corner 1/(R_c C): a gap is
+    # judged against its own pair, so stretching time moves no verdict
+    wp = ratio / (ex3.R_c * ex3.require_C())
+    params, sch = rescaled(ex3, VMC3(K_c=7.78e4, kappa_z=0.5, omega_p=wp),
+                           time=time)
+    if builds:
+        assert build_closed_loop(params, sch).dim == 5
+    else:
+        with pytest.raises(UnsupportedStructure):
+            build_closed_loop(params, sch)
+
+
+def test_double_integrator_is_rejected():
+    with pytest.raises(UnsupportedStructure, match="repeated"):
+        simulation._modal_parts(1.0, (), (), 2)
+
+
 def _assembly_cases():
     for name in config_names("*.cfg"):
         cfg = load_config(config_path(name))
