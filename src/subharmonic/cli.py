@@ -3,9 +3,10 @@
 Commands: critical, lplot, contour, window, simulate, poles.  Every real
 number is a ``_fmt`` cell, 17 significant digits, so CSV round-trips the
 underlying 64-bit floats.  Tables are formatted a block of rows at a
-time, and a value that repeats down a column by construction (contour's
-D and p grids, the dense tail's ramp grid and drive) is formatted once,
-as is each row of a simulation's repeating period.
+time; a value that repeats down a column by construction (contour's D
+and p grids, the dense tail's ramp grid and drive) is formatted once, as
+is each row of a simulation's repeating period, and contour fills one
+template of a D row's text with that row's gaps in one ``%`` operation.
 Files are written atomically (temp + rename) with the mode the umask
 gives a new file, and identical configs produce byte-identical output.
 """
@@ -219,11 +220,11 @@ def cmd_contour(cfg: RunConfig) -> int:
     p_grid = sweep_p.grid()
     surface = contour_data(D_grid, p_grid)
     out = _default_out(cfg, "contour")
-
-    _write_csv(out, ("D", "p", "gap"),
-               _float_rows(np.repeat(_text(D_grid), len(p_grid)),
-                           np.tile(_text(p_grid), len(D_grid)),
-                           surface.ravel()))
+    # one row of D: its D and p text around a _CELL slot per gap
+    cells = [p + "," + _CELL + "\n" for p in _text(p_grid)]
+    _write_csv(out, ("D", "p", "gap"), (
+        (d + "," + (d + ",").join(cells)) % tuple(gaps)
+        for d, gaps in zip(_text(D_grid), surface.tolist())))
     imax = np.unravel_index(int(np.argmax(surface)), surface.shape)
     print(f"contour: {surface.size} points, wrote {out}")
     print(f"max gap = {_fmt(surface[imax])} at D = {_fmt(D_grid[imax[0]])}, "

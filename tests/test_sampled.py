@@ -366,6 +366,24 @@ def test_multipliers_do_not_depend_on_the_voltage_scale(name):
         assert np.max(np.abs(run(1.0, time=k) - ref)) <= 1e-12
 
 
+def test_pole_crossings_do_not_depend_on_the_voltage_scale(ex1):
+    # the -1 crossing is refined to a tolerance relative to the swept
+    # value, so it lands on the same v_s in volts or in picovolts
+    def crossings(volts):
+        params, scheme = rescaled(ex1, RLP(k_p=8.6), volts)
+        traj = pole_trajectory(params, scheme, "v_s",
+                               np.linspace(9.0, 11.0, 11) * volts)
+        assert traj.errors == ()
+        for c in traj.crossings:
+            assert abs(c.eigenvalue + 1.0) <= 1e-9
+        return [c.value / volts for c in traj.crossings]
+
+    ref = crossings(1.0)
+    assert len(ref) == 1
+    for volts in (1e-9, 1e-12):
+        assert crossings(volts) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_too_coarse_engine_grid_is_rejected_once(ex1):
     with pytest.raises(DomainError, match="grid must be at least 4"):
         pole_trajectory(ex1, RLP(k_p=8.0), "k_p", [8.0, 8.5], grid=3)

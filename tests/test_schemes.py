@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -98,6 +99,21 @@ def test_rl_proportional_lvalues_straddle_threshold(ex1):
     assert not critical_rlp(ex1, 9.0).stable
 
 
+def _window_roots_mp(K, D, brackets):
+    """The root in each bracket of K (alpha0(D) - alpha(D, p)) = 1 over p,
+    to 40 digits, with alpha from its csch form as in test_transform."""
+    with mpmath.workdps(40):
+        K, D, pi = mpmath.mpf(K), mpmath.mpf(D), mpmath.pi
+
+        def f(p):
+            a = (2 * pi * mpmath.csch(2 * pi * p)
+                 - pi * mpmath.exp(pi * p * (1 - 2 * D)) * mpmath.csch(pi * p))
+            return K * (pi * (2 * D - 1) - a) - 1
+
+        return [float(mpmath.findroot(f, tuple(map(mpmath.mpf, b)),
+                                      solver="anderson")) for b in brackets]
+
+
 def test_average_current_gain_and_window(ex2, sch2):
     K = acmc_gain(ex2, sch2)
     D = duty_ratio(ex2, sch2)
@@ -105,7 +121,7 @@ def test_average_current_gain_and_window(ex2, sch2):
     assert D == pytest.approx(0.5 / 1.4, rel=1e-14)
     curve = lplot(ex2, sch2, "p", np.linspace(0.05, 0.95, 181))
     assert curve.crossings == pytest.approx(
-        (0.18180059686303138, 0.4584932729601859), rel=1e-10)
+        _window_roots_mp(K, D, ((0.1, 0.3), (0.3, 0.6))), rel=1e-12)
     lo, hi = acmc_window_estimate(K, D)
     assert lo == pytest.approx(0.14509854657928334, rel=1e-12)
     assert hi == pytest.approx(0.5814395107986693, rel=1e-12)
@@ -131,8 +147,8 @@ def test_type_three_voltage_mode_anchors(ex3, sch3):
 
 def test_type_three_pole_sweep_crossings(ex3, sch3):
     curve = lplot(ex3, sch3, "p", np.linspace(0.05, 0.95, 181), duty=0.2)
-    assert curve.crossings == pytest.approx(
-        (0.2360166390240192, 0.45813103348016726), rel=1e-10)
+    assert curve.crossings == pytest.approx(_window_roots_mp(
+        vmc3_gain(ex3, sch3), 0.2, ((0.1, 0.3), (0.3, 0.6))), rel=1e-12)
     lo, hi = acmc_window_estimate(vmc3_gain(ex3, sch3), 0.2)
     assert lo == pytest.approx(0.1713362197240398, rel=1e-12)
     assert hi == pytest.approx(0.5752934004648771, rel=1e-12)
@@ -425,6 +441,103 @@ def test_lplot_over_pole_ratio_equals_a_point_loop(duty, ex2, sch2, ex3, sch3):
             D = duty if duty is not None else duty_ratio(params, scheme)
             loop = [closed_form_lvalue(params, scheme, D, float(x)) for x in grid]
             assert np.array_equal(curve.lvalues, loop), scheme
+
+
+def _point_loop(params, scheme, variable, grid, duty):
+    """L rebuilt at each grid value, at the pinned duty or its own."""
+    at = schemes.sweep_point(params, scheme, variable)
+    out = []
+    for x in grid:
+        pr, sch, _ = at(float(x))
+        out.append(closed_form_lvalue(
+            pr, sch, duty if duty is not None else duty_ratio(pr, sch)))
+    return np.array(out)
+
+
+@pytest.fixture
+def proportional_cases(ex1, ex2, sch2, ex3, sch3):
+    """(params, scheme, variable, duty) for which L is proportional to the
+    swept field at the pinned duty."""
+    return [
+        (ex2, PVMC(k_p=2.5), "k_p", 0.4), (ex2, PVMC(k_p=2.5), "v_s", 0.4),
+        (ex2, CFPVR(k_p=2.5), "k_p", 0.6), (ex2, CFPVR(k_p=2.5), "v_s", 0.6),
+        (ex1, RLP(k_p=8.0), "k_p", 0.7), (ex1, RLP(k_p=8.0), "v_s", 0.7),
+        (ex2, CMC(), "v_s", 0.7), (ex2, sch2, "v_s", 0.35),
+        (ex3, sch3, "v_s", 0.2),
+    ]
+
+
+def test_pinned_duty_field_sweep_scales_one_lvalue(proportional_cases):
+    for params, scheme, variable, duty in proportional_cases:
+        x0 = getattr(params if variable == "v_s" else scheme, variable)
+        grid = x0 * np.geomspace(1e-2, 1e2, 161)
+        curve = lplot(params, scheme, variable, grid, duty=duty)
+        np.testing.assert_allclose(
+            curve.lvalues, _point_loop(params, scheme, variable, grid, duty),
+            rtol=1e-15, atol=0.0, err_msg=str(scheme))
+        assert len(curve.crossings) == 1, scheme
+        if not isinstance(scheme, RLP):  # its critical k_p has its own duty
+            crit = solve_critical(params, scheme, variable, duty=duty)
+            assert curve.crossings[0] == pytest.approx(
+                crit.critical_value, rel=1e-14, abs=0.0), scheme
+
+
+def test_field_sweeps_off_the_proportional_path_rebuild_each_point(
+        ex1, cmc_zero_ramp):
+    # a flat ramp's L = 2D, and the RL loop's own duty moves with k_p
+    for params, scheme, variable, duty in (
+            (cmc_zero_ramp, CMC(), "v_s", 0.7),
+            (ex1, RLP(k_p=8.0), "k_p", None)):
+        grid = np.linspace(4.0, 12.0, 33)
+        curve = lplot(params, scheme, variable, grid, duty=duty)
+        assert np.array_equal(
+            curve.lvalues, _point_loop(params, scheme, variable, grid, duty))
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0], [-1.0, 1.0],
+                                  [3.0, 2.0, 0.0], [1.0, np.inf]])
+def test_pinned_duty_field_sweep_rejects_what_a_rebuild_would(
+        grid, proportional_cases):
+    for params, scheme, variable, duty in proportional_cases:
+        with pytest.raises(DomainError):
+            _point_loop(params, scheme, variable, grid, duty)
+        with pytest.raises(DomainError):
+            lplot(params, scheme, variable, grid, duty=duty)
+
+
+@pytest.mark.parametrize("plant, loop, grid, duty", [
+    ("ex3", "sch3", np.geomspace(1.0, 100.0, 81), 0.2),  # one L, scaled
+    ("ex2", "sch2", np.linspace(8.0, 30.0, 45), None),  # L at each point
+])
+def test_lplot_crossings_do_not_depend_on_the_voltage_scale(
+        request, plant, loop, grid, duty):
+    base = request.getfixturevalue(plant), request.getfixturevalue(loop)
+
+    def crossings(volts):
+        params, scheme = rescaled(*base, volts)
+        curve = lplot(params, scheme, "v_s", grid * volts, duty=duty)
+        return np.array(curve.crossings) / volts
+
+    ref = crossings(1.0)
+    assert len(ref) == 1
+    for volts in (1e-9, 1e-12):
+        np.testing.assert_allclose(crossings(volts), ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("variable", ["p", "omega_p"])
+def test_pole_sweep_crossings_do_not_depend_on_the_time_unit(
+        variable, ex2, sch2):
+    grid = np.linspace(0.05, 0.95, 181)
+
+    def crossings(time):
+        params, scheme = rescaled(ex2, sch2, time=time)
+        w = params.omega_s if variable == "omega_p" else 1.0
+        return np.array(lplot(params, scheme, variable, grid * w).crossings) / w
+
+    ref = crossings(1.0)
+    assert len(ref) == 2
+    for time in (1e-6, 1e6):
+        np.testing.assert_allclose(crossings(time), ref, rtol=1e-12, atol=0.0)
 
 
 def test_contour_equals_a_point_loop():

@@ -17,8 +17,9 @@ file sits in, so a reference is made by running a copy of this file from
 the other checkout.  ``--against OTHER_DIR`` then prints, per file,
 "identical" or, for a CSV that differs, the largest
 |delta| / (1 + max|column|) over its numeric columns, and for any other
-file that differs its removed ("-") and added ("+") lines; the exit code
-is 1 when any file differs.
+file that differs the largest relative change among the numbers on its
+changed lines, then its removed ("-") and added ("+") lines; the exit
+code is 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -123,15 +125,39 @@ def csv_distance(new: str, old: str) -> str:
     return f"max |delta|/(1+max|col|) = {worst:.3g} (column {where})"
 
 
+def _lines(path: str) -> list:
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
 def line_changes(new: str, old: str) -> str:
     """The removed and added lines of a text file, one per line."""
-    with open(old) as fh:
-        a = fh.read().splitlines()
-    with open(new) as fh:
-        b = fh.read().splitlines()
-    diff = difflib.unified_diff(a, b, n=0, lineterm="")
+    diff = difflib.unified_diff(_lines(old), _lines(new), n=0, lineterm="")
     return "\n".join(f"  {line}" for line in diff
                      if not line.startswith(("---", "+++", "@@")))
+
+
+# a decimal number that is not part of a word such as "ex2"
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_change(new: str, old: str) -> str:
+    """Largest |delta| / max(|old|, |new|) over the numbers of the changed
+    lines of a text file, paired in order within each changed block."""
+    a, b = _lines(old), _lines(new)
+    worst = 0.0
+    blocks = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    for tag, i1, i2, j1, j2 in blocks:
+        if tag == "equal":
+            continue
+        x = [float(v) for line in a[i1:i2] for v in NUMBER.findall(line)]
+        y = [float(v) for line in b[j1:j2] for v in NUMBER.findall(line)]
+        if len(x) != len(y):
+            return "changed lines differ in their count of numbers"
+        for u, v in zip(x, y):
+            if u != v:
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    return f"max relative change of a number = {worst:.3g}"
 
 
 def compare(out_dir: str, other: str) -> int:
@@ -147,8 +173,9 @@ def compare(out_dir: str, other: str) -> int:
             verdict = csv_distance(os.path.join(out_dir, f),
                                    os.path.join(other, f))
         else:
-            verdict = "differs\n" + line_changes(os.path.join(out_dir, f),
-                                                 os.path.join(other, f))
+            paths = os.path.join(out_dir, f), os.path.join(other, f)
+            verdict = (f"differs, {number_change(*paths)}\n"
+                       + line_changes(*paths))
         differing += verdict != "identical"
         print(f"{f}: {verdict}")
     return differing
