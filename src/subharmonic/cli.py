@@ -37,7 +37,7 @@ from .schemes import (
     solve_critical,
     sweep_point,
 )
-from .simulation import CycleEngine, build_closed_loop, simulate
+from .simulation import build_closed_loop, simulate
 from .transform import f_transform_series
 
 __all__ = ["main"]
@@ -261,8 +261,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = _default_out(cfg, "simulate")
     root, ext = os.path.splitext(out)
     dense_out = f"{root}_dense{ext or '.csv'}"
-    loop = build_closed_loop(cfg.params, cfg.scheme)
-    eng = CycleEngine(loop)
 
     def write_strobe(trace):
         header = ("cycle", "duty") + trace.labels
@@ -280,7 +278,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
             cycles=cycles,
             dense=True,
             divergence_bound=cfg.divergence_bound,
-            engine=eng,
         )
     except Divergence as exc:
         if exc.trace is not None:
@@ -291,14 +288,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_strobe(trace)
     d = trace.dense
     header = ("t",) + trace.labels + ("y", "h", "v_d")
-    # dense cycles repeat with the strobe's period; each samples the same
-    # ramp grid, and the drive is v_s while the switch is on, else 0
-    h = np.tile(_text(eng.h_grid[:eng.grid]), len(d.h) // eng.grid)
-    v_d = _text((0.0, loop.params.v_s))[(d.v_d != 0.0).astype(int)]
-    period = eng.grid * trace.repeat[1] if trace.repeat else len(d.t)
+    # the dense tail is the last window cycles, which repeat with the
+    # strobe's period; each samples the same ramp grid, and the drive is
+    # v_s while the switch is on, else 0
+    grid = len(d.t) // trace.window
+    h = np.tile(_text(d.h[:grid]), trace.window)
+    v_d = _text((0.0, cfg.params.v_s))[(d.v_d != 0.0).astype(int)]
+    period = grid * trace.repeat[1] if trace.repeat else len(d.t)
     _write_csv(dense_out, header,
                _repeating_rows(d.t, (d.x, d.y, h, v_d), 0, period))
-    vo = d.x @ loop.vo_row
+    vo = d.x @ build_closed_loop(cfg.params, cfg.scheme).vo_row
     print(f"simulate: {cycles} cycles, wrote {out} and {dense_out}")
     print(f"output ripple (last {trace.window} cycles): "
           f"{_fmt(vo.max() - vo.min())}")
@@ -310,7 +309,8 @@ def cmd_poles(cfg: RunConfig) -> int:
     sweep = _sweep_or_fail(cfg)
     grid = sweep.grid()
     traj = pole_trajectory(cfg.params, cfg.scheme, sweep.variable, grid)
-    dim = build_closed_loop(cfg.params, cfg.scheme).dim
+    # the width of a solved point: the config's own point need not build
+    dim = traj.tracks().shape[1] or build_closed_loop(cfg.params, cfg.scheme).dim
     err_by_value = {}
     for v, msg in traj.errors:
         err_by_value.setdefault(v, msg)

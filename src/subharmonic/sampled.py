@@ -78,19 +78,17 @@ def poincare_jacobian(
     orbit,
     grid: int = 64,
     rel: float = 1e-6,
-    engine: Optional[CycleEngine] = None,
 ) -> np.ndarray:
     """Central-difference Jacobian of the cycle map at a period-1 orbit.
 
-    The cross-check of the exact Jacobian that ``poles`` uses.  orbit is
-    the (x, duty) pair from steady_state.  Every restep, perturbed ones
-    included, must commute at an interior crossing; a saturated duty
-    raises DegenerateOrbit since the map is not differentiable there.
+    The cross-check of the exact Jacobian that ``poles`` uses, on the
+    engine of params and scheme at the given grid.  orbit is the (x,
+    duty) pair from steady_state.  Every restep, perturbed ones included,
+    must commute at an interior crossing; a saturated duty raises
+    DegenerateOrbit since the map is not differentiable there.
     """
     x = np.asarray(orbit[0], dtype=float)
-    eng = engine if engine is not None else CycleEngine(
-        build_closed_loop(params, scheme), grid
-    )
+    eng = CycleEngine(build_closed_loop(params, scheme), grid)
     if x.shape != (eng.n,):
         raise DomainError(f"orbit state must have dimension {eng.n}")
     _, duty = eng.step(x)

@@ -219,10 +219,13 @@ class ControlScheme:
       f_s times L at a unit ramp (defined at V_m = 0 too), and scans D;
       a scheme overrides ``_critical``, which also takes L at D when the
       caller holds it, so no solve evaluates L twice at one duty
+    - ``_coupled(params, solve_for)``: the critical value of a variable
+      in ``duty_depends_on``, the solve variables the nominal duty moves
+      with, when no duty is pinned; the base class finds the root of L = 1
+      with the duty re-derived at every trial value
 
-    ``duty_depends_on`` names the solve variables the nominal duty moves
-    with; ``solve_critical`` finds those by a coupled root search unless
-    the duty is pinned.
+    ``solve_critical`` routes every scheme by this one rule: a pinned duty,
+    or a variable the duty does not move with, goes to ``_critical``.
     """
 
     duty_depends_on: Tuple[str, ...] = ("v_s",)
@@ -288,6 +291,30 @@ class ControlScheme:
                 raise DomainError(f"L is not positive; no finite critical {solve_for}")
             return (params.v_s if solve_for == "v_s" else self.k_p) / lv
         raise DomainError(f"{type(self).__name__} has no {solve_for} to solve for")
+
+    def _coupled(self, params, solve_for):
+        """The root of L(x, duty_ratio(x)) = 1 in x = solve_for: the first
+        sign change on a log grid from 1e-3 to 1e4 times the present value,
+        refined by brentq; points whose duty leaves (0, 1) are skipped."""
+        at = sweep_point(params, self, solve_for)
+        x0 = getattr(params if hasattr(params, solve_for) else self, solve_for)
+
+        def lvalue(x):
+            pr, sch, _ = at(x)
+            return closed_form_lvalue(pr, sch, duty_ratio(pr, sch))
+
+        grid = np.geomspace(1e-3 * x0, 1e4 * x0, 240)
+        lv = np.full(grid.size, np.nan)
+        for i, x in enumerate(grid):
+            try:
+                lv[i] = lvalue(x)
+            except DomainError:
+                pass
+        roots = grid_crossings(grid, lv, lambda lo, hi: brentq(
+            lambda x: lvalue(x) - 1.0, lo, hi, xtol=1e-14 * x0, rtol=8.9e-16))
+        if not roots:
+            raise NoRoot(f"no critical {solve_for} found on the search range")
+        return roots[0]
 
 
 @dataclass(frozen=True)
@@ -359,9 +386,8 @@ class RLP(ControlScheme):
     """Proportional feedback around a first-order RL plant."""
 
     k_p: float
-    # the critical gain carries its own duty (see rlp_critical_kp), so no
-    # solve depends on the present one
-    duty_depends_on = ()
+    # the modulator equation (rlp_steady_duty) moves the duty with both
+    duty_depends_on = ("v_s", "k_p")
 
     def nominal_duty(self, params):
         # no integrator: the exact modulator equation sets the duty
@@ -373,12 +399,11 @@ class RLP(ControlScheme):
         p = params.R / (params.L * params.omega_s)
         return params.v_s * self.k_p * p * alpha(D, p) / V_m
 
-    def _critical(self, params, solve_for, D, lv):
+    def _coupled(self, params, solve_for):
+        # the critical gain carries its own duty, the paper's figure
         if solve_for == "k_p":
             return rlp_critical_kp(params)[0]
-        if solve_for != "D":
-            raise DomainError("the RL loop solves for k_p only")
-        return super()._critical(params, solve_for, D, lv)
+        return super()._coupled(params, solve_for)
 
     def wiring(self, params):
         return Wiring(i_gain=0.0, v_gain=1.0, gain=self.k_p, rl_plant=True)
@@ -478,23 +503,12 @@ def duty_ratio(params: BuckParams, scheme: ControlScheme) -> float:
     return float(D)
 
 
-def closed_form_lvalue(
-    params: BuckParams,
-    scheme: ControlScheme,
-    D,
-    p_override=None,
-):
-    """Scheme's stability number L at duty D.
+def closed_form_lvalue(params: BuckParams, scheme: ControlScheme, D):
+    """Scheme's stability number L at duty D, ``scheme.lvalue``.
 
-    p_override replaces the normalized compensator pole; a scheme without
-    one (no omega_p) raises DomainError.  D, and p_override, may be arrays
-    (broadcast against each other); scalars give a float.
+    D may be an array; a scalar gives a float.
     """
-    if p_override is None:
-        return scheme.lvalue(params, D)
-    if not hasattr(scheme, "omega_p"):
-        raise DomainError(f"{type(scheme).__name__} has no compensator pole p")
-    return scheme.lvalue(params, D, p_override)
+    return scheme.lvalue(params, D)
 
 
 # ---------------------------------------------------------------------------
@@ -889,34 +903,6 @@ def contour_data(D_grid: Sequence[float], p_grid: Sequence[float]) -> np.ndarray
 # Solving the critical condition for one chosen parameter.
 
 
-def _solve_coupled(params, scheme, variable):
-    """Critical value of a variable the nominal duty moves with.
-
-    The root of L(x, duty_ratio(x)) = 1: the first sign change on a log
-    grid from 1e-3 to 1e4 times the present value, refined by brentq;
-    points whose duty leaves (0, 1) are skipped.
-    """
-    at = sweep_point(params, scheme, variable)
-    x0 = getattr(params if hasattr(params, variable) else scheme, variable)
-
-    def lvalue(x):
-        pr, sch, _ = at(x)
-        return closed_form_lvalue(pr, sch, duty_ratio(pr, sch))
-
-    grid = np.geomspace(1e-3 * x0, 1e4 * x0, 240)
-    lv = np.full(grid.size, np.nan)
-    for i, x in enumerate(grid):
-        try:
-            lv[i] = lvalue(x)
-        except DomainError:
-            pass
-    roots = grid_crossings(grid, lv, lambda lo, hi: brentq(
-        lambda x: lvalue(x) - 1.0, lo, hi, xtol=1e-14 * x0, rtol=8.9e-16))
-    if not roots:
-        raise NoRoot(f"no critical {variable} found on the search range")
-    return roots[0]
-
-
 def solve_critical(
     params: BuckParams,
     scheme: ControlScheme,
@@ -926,9 +912,11 @@ def solve_critical(
     """Solve L = 1 for one parameter (v_s, k_p, m_a, or D).
 
     Returns L at the present operating duty together with the critical
-    parameter value.  With the duty pinned, or for a variable the nominal
-    duty does not depend on, the scheme's closed form at that duty gives
-    the value; otherwise the duty is re-derived along the variable.
+    parameter value.  One rule routes every scheme: with the duty pinned,
+    or for a variable the nominal duty does not move with, the scheme's
+    ``_critical`` at that duty gives the value; otherwise its ``_coupled``
+    solve does, which re-derives the duty along the variable (the RL
+    loop's critical gain carries its own duty, ``rlp_critical_kp``).
     DomainError marks parameter/scheme pairs without a route; NoRoot means
     the search range contains no boundary.
     """
@@ -937,7 +925,7 @@ def solve_critical(
     D = float(duty) if duty is not None else duty_ratio(params, scheme)
     lv = closed_form_lvalue(params, scheme, D)
     if duty is None and solve_for in scheme.duty_depends_on:
-        value = _solve_coupled(params, scheme, solve_for)
+        value = scheme._coupled(params, solve_for)
     else:
         value = scheme._critical(params, solve_for, D, lv)
     return CriticalResult(lvalue=lv, critical_value=value)

@@ -428,20 +428,17 @@ class CycleEngine:
 
 
 def step_cycle(
-    x0: Sequence[float],
-    loop: ClosedLoop,
-    grid: int = 64,
-    engine: Optional[CycleEngine] = None,
+    x0: Sequence[float], loop: ClosedLoop, grid: int = 64
 ) -> Tuple[np.ndarray, float]:
-    """Propagate one switching period from x0; returns (x1, duty).
+    """Propagate one switching period of loop from x0; returns (x1, duty).
 
-    Builds a fresh CycleEngine unless one is supplied; sweeps should
-    construct the engine once and call its ``step`` directly.
+    Builds the CycleEngine of loop at this grid for the one step; sweeps
+    should construct the engine once and call its ``step`` directly.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise DomainError("initial state must be finite")
-    eng = engine if engine is not None else CycleEngine(loop, grid)
+    eng = CycleEngine(loop, grid)
     if x0.shape != (eng.n,):
         raise DomainError(f"state must have dimension {eng.n}")
     return eng.step(x0)
@@ -526,15 +523,16 @@ def simulate(
     dense: bool = False,
     dense_cycles: Optional[int] = None,
     divergence_bound: Optional[float] = None,
-    engine: Optional[CycleEngine] = None,
 ) -> SimTrace:
     """Run the switched simulation and classify its long-run behavior.
 
-    The classifier looks at the last `window` stroboscopic samples, so
-    cycles must exceed the window by a margin covering the transient
-    (the default 576 = 512 transient + 64 window).  With dense=True the
-    last `dense_cycles` cycles (default: the window) are also sampled at
-    grid resolution; a value above `cycles` densifies the whole run.
+    Every cycle steps one CycleEngine, of params and scheme at the given
+    grid, built here.  The classifier looks at the last `window`
+    stroboscopic samples, so cycles must exceed the window by a margin
+    covering the transient (the default 576 = 512 transient + 64
+    window).  With dense=True the last `dense_cycles` cycles (default:
+    the window) are also sampled at grid resolution; a value above
+    `cycles` densifies the whole run.
     A state with a component beyond divergence_bound (default 1e6 times
     the largest component of the averaged operating point, so the bound
     scales with the voltages) raises Divergence, which carries the
@@ -552,9 +550,7 @@ def simulate(
         raise DomainError("cycles must exceed the classification window")
     if dense_cycles is not None and dense_cycles < 0:
         raise DomainError("dense_cycles must be non-negative")
-    eng = engine if engine is not None else CycleEngine(
-        build_closed_loop(params, scheme), grid
-    )
+    eng = CycleEngine(build_closed_loop(params, scheme), grid)
     x = _initial_state(params, scheme, x_init, eng.n)
     if divergence_bound is None:
         auto = x if isinstance(x_init, str) else _initial_state(
@@ -746,20 +742,16 @@ def steady_state(
     scheme: ControlScheme,
     x_init="auto",
     grid: int = 64,
-    engine: Optional[CycleEngine] = None,
 ) -> Tuple[np.ndarray, float]:
     """Period-1 switching orbit of the cycle map and its interior duty.
 
-    The (x, duty) of ``_orbit`` on engine (built for params and scheme)
-    or on a fresh engine of the given grid.  The same solve returns the
-    exact Jacobian there to ``poles`` and ``pole_trajectory``; no engine
-    holds an orbit.  Raises NoConvergence when no interior switching
-    orbit exists.
+    The (x, duty) of ``_orbit`` on the engine of params and scheme at the
+    given grid.  The same solve returns the exact Jacobian there to
+    ``poles`` and ``pole_trajectory``; no engine holds an orbit.  Raises
+    NoConvergence when no interior switching orbit exists.
     """
-    eng = engine if engine is not None else CycleEngine(
-        build_closed_loop(params, scheme), grid
-    )
-    return _orbit(eng, x_init)[:2]
+    return _orbit(CycleEngine(build_closed_loop(params, scheme), grid),
+                  x_init)[:2]
 
 
 def ripple_check(params: BuckParams, D) -> float:

@@ -115,7 +115,7 @@ def _classify_kicked(params, scheme, cycles=3200, kick=1e-3):
     # nudge the settled orbit along the most negative multiplier's
     # eigenvector so a weakly unstable orbit reveals itself quickly
     engine = CycleEngine(build_closed_loop(params, scheme))
-    x, _ = steady_state(params, scheme, engine=engine)
+    x, _ = steady_state(params, scheme)
     J = cycle_jacobian(engine, x)
     w, v = np.linalg.eig(J)
     vec = np.real(v[:, int(np.argmin(w.real))])

@@ -253,6 +253,23 @@ def test_pole_single_point_spectrum(tmp_path):
     assert res[0] == pytest.approx(-0.99959132, abs=1e-6)
 
 
+def test_poles_sweep_away_from_an_unbuildable_config_point(tmp_path):
+    # omega_p = 1/(R_c C) puts the config's own compensator pole on the ESR
+    # pole, which the loop cannot be built with; every swept p can be
+    text = open(config_path("ex3_poles.cfg")).read()
+    cfg = tmp_path / "coincident.cfg"
+    cfg.write_text(re.sub(r"(?m)^omega_p = .*$", "omega_p = 202020.202020202",
+                          text.replace("sweep = v_s:16.0:16.0:1",
+                                       "sweep = p:0.3:0.6:4")))
+    out = tmp_path / "p.csv"
+    r = run_cli("poles", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "crossing: enter at p = 0.49971467906234368" in r.stdout
+    header, rows = read_csv(out)
+    assert len(header) == 1 + 2 * 5 + 1
+    assert len(rows) == 4 and all(row[-1] == "" for row in rows)
+
+
 def test_stable_only_sweep_reports_no_crossings(tmp_path):
     r = run_cli("poles", "--config", config_path("ex2_poles.cfg"),
                 "--sweep", "p:0.55:0.85:4", "--out", str(tmp_path / "p.csv"))

@@ -153,7 +153,7 @@ def test_classification_agrees_with_spectrum(name, ex1, ex2, sch2, ex3,
 
 def _engine_at_orbit(params, scheme):
     eng = CycleEngine(build_closed_loop(params, scheme))
-    x, _ = steady_state(params, scheme, engine=eng)
+    x, _ = steady_state(params, scheme)
     return eng, x
 
 
@@ -239,7 +239,7 @@ def test_saturated_orbit_candidate_is_skipped(name, ex1, ex2, sch2, ex3,
     # state shifted along the output row until y starts below the ramp
     params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
     eng = CycleEngine(build_closed_loop(params, scheme))
-    x, d = steady_state(params, scheme, engine=eng)
+    x, d = steady_state(params, scheme)
     c = eng.loop.y_row
     y0 = c @ x + eng.loop.y_const
     x_sat = x - (y0 - params.V_l + 1.0) * c / (c @ c)
@@ -488,14 +488,23 @@ def test_threshold_matches_closed_form_gain_sweep(ex1):
     assert abs(exact - curve.crossings[0]) / exact <= 0.07
 
 
-def test_threshold_matches_closed_form_voltage_sweep(ex3, sch3):
+@pytest.mark.parametrize("k_p", [None, 8.0, 8.6])
+def test_threshold_matches_closed_form_voltage_sweep(k_p, ex1, ex3, sch3):
     from subharmonic import solve_critical
-    traj = pole_trajectory(ex3, sch3, "v_s", np.linspace(15.6, 16.4, 5))
+    if k_p is None:
+        params, scheme, grid = ex3, sch3, np.linspace(15.6, 16.4, 5)
+    else:
+        # the RL plant is exact, so its closed form is the switched threshold
+        params, scheme, grid = ex1, RLP(k_p=k_p), np.linspace(9.5, 10.5, 5)
+    traj = pole_trajectory(params, scheme, "v_s", grid)
     assert len(traj.crossings) == 1
     exact = traj.crossings[0].value
-    assert exact == pytest.approx(16.0037, abs=5e-3)
-    closed = solve_critical(ex3, sch3, "v_s").critical_value
-    assert abs(closed - exact) / exact <= 0.07
+    closed = solve_critical(params, scheme, "v_s").critical_value
+    if k_p is None:
+        assert exact == pytest.approx(16.0037, abs=5e-3)
+        assert abs(closed - exact) / exact <= 0.07
+    else:
+        assert abs(closed - exact) <= 1e-9
 
 
 @pytest.mark.parametrize("which", ["avg_current", "type3"])

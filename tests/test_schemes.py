@@ -439,7 +439,7 @@ def test_lplot_over_pole_ratio_equals_a_point_loop(duty, ex2, sch2, ex3, sch3):
         for grid in (P_STRADDLE, P_STRADDLE[::-1]):
             curve = lplot(params, scheme, "p", grid, duty=duty)
             D = duty if duty is not None else duty_ratio(params, scheme)
-            loop = [closed_form_lvalue(params, scheme, D, float(x)) for x in grid]
+            loop = [scheme.lvalue(params, D, float(x)) for x in grid]
             assert np.array_equal(curve.lvalues, loop), scheme
 
 
@@ -476,10 +476,9 @@ def test_pinned_duty_field_sweep_scales_one_lvalue(proportional_cases):
             curve.lvalues, _point_loop(params, scheme, variable, grid, duty),
             rtol=1e-15, atol=0.0, err_msg=str(scheme))
         assert len(curve.crossings) == 1, scheme
-        if not isinstance(scheme, RLP):  # its critical k_p has its own duty
-            crit = solve_critical(params, scheme, variable, duty=duty)
-            assert curve.crossings[0] == pytest.approx(
-                crit.critical_value, rel=1e-14, abs=0.0), scheme
+        crit = solve_critical(params, scheme, variable, duty=duty)
+        assert curve.crossings[0] == pytest.approx(
+            crit.critical_value, rel=1e-14, abs=0.0), scheme
 
 
 def test_field_sweeps_off_the_proportional_path_rebuild_each_point(
@@ -568,7 +567,7 @@ def test_closed_forms_give_floats_for_scalars(closed_form_cases, ex2, sch2):
         for D in (0.3, np.float64(0.3), np.asarray(0.3)):
             assert type(closed_form_lvalue(params, scheme, D)) is float
             assert type(scheme.lvalue(params, D)) is float
-    assert type(closed_form_lvalue(ex2, sch2, 0.3, np.asarray(0.2))) is float
+    assert type(sch2.lvalue(ex2, 0.3, np.asarray(0.2))) is float
 
 
 def _crossings_by_loop(grid, lvalues, refine=None):
@@ -678,6 +677,7 @@ def _pinned_routes():
     cmc_plant = dataclasses.replace(PLANT_100K, V_h=0.3)
     ex2, acmc, d2 = _lplot_config("ex2_lplot.cfg")
     ex4, vmc3, d4 = _lplot_config("ex4_lplot.cfg")
+    ex1 = load_config(config_path("ex1_critical.cfg")).params
     # closed forms to 8 ulp of 1, the base-class scan over D to 1e-8
     for variable in ("k_p", "v_s", "m_a", "D"):
         tol = 1e-8 if variable == "D" else 8 * math.ulp(1.0)
@@ -690,6 +690,8 @@ def _pinned_routes():
         yield ex2, acmc, variable, d2, 8 * math.ulp(1.0)
         yield ex4, vmc3, variable, d4, 8 * math.ulp(1.0)
     yield ex4, vmc3, "D", d4, 1e-8
+    for variable in ("k_p", "v_s", "m_a"):
+        yield ex1, RLP(k_p=8.0), variable, 0.7, 8 * math.ulp(1.0)
 
 
 @pytest.mark.parametrize(
@@ -710,8 +712,20 @@ def test_pinned_critical_routes_that_have_no_answer(ex1):
     ex2, acmc, d2 = _lplot_config("ex2_lplot.cfg")
     with pytest.raises(NoRoot):
         acmc.critical(ex2, "D", d2)
-    with pytest.raises(DomainError, match="the RL loop solves for k_p only"):
+    with pytest.raises(DomainError, match="L is not positive"):
         RLP(k_p=8.0).critical(ex1, "v_s", 0.6)
+
+
+def test_rl_gain_follows_the_common_routing(ex1):
+    # a pinned duty takes the base rule, k_p / L, which lplot crosses at;
+    # unpinned, the gain carries its own duty (rlp_critical_kp)
+    scheme = RLP(k_p=8.0)
+    pinned = solve_critical(ex1, scheme, "k_p", duty=0.7).critical_value
+    assert pinned == 8.0 / scheme.lvalue(ex1, 0.7) == 1.530649464646327
+    curve = lplot(ex1, scheme, "k_p", np.linspace(0.5, 5.0, 46), duty=0.7)
+    assert curve.crossings == (pinned,)
+    assert solve_critical(ex1, scheme, "k_p").critical_value == \
+        rlp_critical_kp(ex1)[0] == 8.537926282811418
 
 
 # -------------------------------------- the premise of the base-class solves

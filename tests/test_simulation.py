@@ -140,9 +140,9 @@ def test_first_order_cycle_against_closed_form(ex1, rlp8):
 def test_step_is_deterministic_and_engine_reusable(ex1, rlp8):
     loop = build_closed_loop(ex1, rlp8)
     eng = CycleEngine(loop)
-    a = step_cycle(np.array([5.0]), loop, engine=eng)
-    b = step_cycle(np.array([5.0]), loop, engine=eng)
-    c = step_cycle(np.array([5.0]), loop)
+    a = step_cycle(np.array([5.0]), loop)
+    b = eng.step(np.array([5.0]))
+    c = eng.step(np.array([5.0]))
     assert a[0][0] == b[0][0] == c[0][0]
     assert a[1] == b[1] == c[1]
 
@@ -211,7 +211,7 @@ def _assert_one_propagation(eng, states):
 def test_steps_share_one_propagation_on_config_runs(name):
     cfg = load_config(config_path(name))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles)
     _assert_one_propagation(eng, tr.strobe[-40:])
 
 
@@ -220,7 +220,7 @@ def test_steps_share_one_propagation_at_orbits(name, ex1, ex2, sch2, ex3,
                                                sch4_at):
     params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
     eng = CycleEngine(build_closed_loop(params, scheme))
-    x, _ = steady_state(params, scheme, engine=eng)
+    x, _ = steady_state(params, scheme)
     _assert_one_propagation(eng, [x])
 
 
@@ -353,7 +353,7 @@ def _assert_crossing_bits(eng, states):
 def test_crossing_bits_on_config_runs(name):
     cfg = load_config(config_path(name))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles)
     _assert_crossing_bits(eng, tr.strobe[-40:])
 
 
@@ -361,7 +361,7 @@ def test_crossing_bits_on_config_runs(name):
 def test_crossing_bits_at_orbits(name, ex1, ex2, sch2, ex3, sch4_at):
     params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
     eng = CycleEngine(build_closed_loop(params, scheme))
-    x, _ = steady_state(params, scheme, engine=eng)
+    x, _ = steady_state(params, scheme)
     _assert_crossing_bits(eng, [x])
 
 
@@ -373,7 +373,7 @@ def test_step_depends_only_on_its_own_state(name):
     cfg = load_config(config_path(name))
     loop = build_closed_loop(cfg.params, cfg.scheme)
     eng = CycleEngine(loop)
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, engine=eng)
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles)
     states = tr.strobe[-40:]
     forward = [eng.step(x) for x in states]
     backward = [eng.step(x) for x in states[::-1]][::-1]
@@ -555,8 +555,7 @@ def test_copied_strobe_equals_a_plain_step_loop(name, repeats):
     # be what stepping gives; ex4_sim_060's period outlasts the tail
     cfg = load_config(config_path(f"{name}.cfg"))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True,
-                  engine=eng)
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True)
     strobe, duties = _plain_step_loop(eng, tr.strobe[0], cfg.cycles)
     assert np.array_equal(tr.strobe, strobe)
     assert np.array_equal(tr.duties, duties)
