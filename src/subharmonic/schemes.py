@@ -386,8 +386,8 @@ class RLP(ControlScheme):
     """Proportional feedback around a first-order RL plant."""
 
     k_p: float
-    # the modulator equation (rlp_steady_duty) moves the duty with both
-    duty_depends_on = ("v_s", "k_p")
+    # the modulator equation (rlp_steady_duty) moves the duty with all three
+    duty_depends_on = ("v_s", "k_p", "m_a")
 
     def nominal_duty(self, params):
         # no integrator: the exact modulator equation sets the duty
@@ -403,6 +403,8 @@ class RLP(ControlScheme):
         # the critical gain carries its own duty, the paper's figure
         if solve_for == "k_p":
             return rlp_critical_kp(params)[0]
+        if solve_for == "m_a":
+            raise DomainError("the RL duty moves with the ramp; pin a duty for m_a")
         return super()._coupled(params, solve_for)
 
     def wiring(self, params):
@@ -504,10 +506,7 @@ def duty_ratio(params: BuckParams, scheme: ControlScheme) -> float:
 
 
 def closed_form_lvalue(params: BuckParams, scheme: ControlScheme, D):
-    """Scheme's stability number L at duty D, ``scheme.lvalue``.
-
-    D may be an array; a scalar gives a float.
-    """
+    """The scheme's L at duty D, ``scheme.lvalue``; D may be an array."""
     return scheme.lvalue(params, D)
 
 
@@ -674,9 +673,8 @@ def rlp_critical_kp(params: BuckParams) -> Tuple[float, float]:
     the closed-form figure this routine targets.
     """
     _require_vm(params)
-    half_ripple = params.v_s * params.T * params.R / (2.0 * params.L)
-    a = half_ripple
-    b = params.v_s + half_ripple
+    a = params.v_s * params.T * params.R / (2.0 * params.L)  # half ripple
+    b = params.v_s + a
     disc = b * b - 4.0 * a * params.v_r
     if disc < 0.0 or not params.v_r < params.v_s:
         raise NoRoot("the ripple peak never reaches the current command")
@@ -915,8 +913,10 @@ def solve_critical(
     parameter value.  One rule routes every scheme: with the duty pinned,
     or for a variable the nominal duty does not move with, the scheme's
     ``_critical`` at that duty gives the value; otherwise its ``_coupled``
-    solve does, which re-derives the duty along the variable (the RL
-    loop's critical gain carries its own duty, ``rlp_critical_kp``).
+    solve does, which re-derives the duty along the variable.  RLP's
+    unpinned k_p is the paper's linear-ripple ``rlp_critical_kp``, its v_s
+    takes the exact modulator duty (the two up to about 1 % apart in gain),
+    and its m_a is refused, as no sweep moves the ramp.
     DomainError marks parameter/scheme pairs without a route; NoRoot means
     the search range contains no boundary.
     """

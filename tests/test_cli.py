@@ -81,6 +81,16 @@ def test_critical_solve_source_voltage(tmp_path):
         17.12447578559703, rel=1e-10)
 
 
+def test_critical_rl_ramp_without_a_pinned_duty_is_refused(tmp_path):
+    # the RL loop's duty moves with the ramp: no m_a answer at its own duty
+    out = tmp_path / "c.csv"
+    r = run_cli("critical", "--config", config_path("ex1_critical.cfg"),
+                "--solve-for", "m_a", "--out", str(out))
+    assert r.returncode == 3
+    assert "pin a duty for m_a" in r.stderr
+    assert not out.exists()
+
+
 def test_critical_solve_duty_flat_ramp(tmp_path):
     r = run_cli("critical", "--config", config_path("cmc_critical.cfg"),
                 "--out", str(tmp_path / "c.csv"))

@@ -728,6 +728,16 @@ def test_rl_gain_follows_the_common_routing(ex1):
         rlp_critical_kp(ex1)[0] == 8.537926282811418
 
 
+def test_rl_ramp_needs_a_pinned_duty(ex1):
+    # the RL loop's duty moves with the ramp, and no sweep moves the ramp,
+    # so f_s L at the present duty would not be a root; pinned, the base rule
+    scheme = RLP(k_p=8.0)
+    with pytest.raises(DomainError, match="pin a duty"):
+        solve_critical(ex1, scheme, "m_a")
+    pinned = solve_critical(ex1, scheme, "m_a", duty=0.7).critical_value
+    assert pinned == scheme.critical(ex1, "m_a", 0.7)
+
+
 # -------------------------------------- the premise of the base-class solves
 
 
