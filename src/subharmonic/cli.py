@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import RunConfig, SweepSpec, load_config, parse_sweep
-from .errors import ConfigError, Divergence, SubharmonicError
+from .errors import ConfigError, Divergence, DomainError, SubharmonicError
 from .sampled import pole_trajectory
 from .schemes import (
     acmc_window_estimate,
@@ -175,6 +175,8 @@ def cmd_lplot(cfg: RunConfig) -> int:
     sweep = _sweep_or_fail(cfg)
     grid = sweep.grid()
     if cfg.terms > 0:
+        if sweep.variable == "D" and cfg.duty is not None:
+            raise DomainError("a duty sweep takes no pinned duty")
         at = sweep_point(cfg.params, cfg.scheme, sweep.variable)
         lvalues, errors = zip(*(_lvalue_series_at(cfg, at, v) for v in grid))
         lvalues = np.array(lvalues)
@@ -204,10 +206,10 @@ def cmd_lplot(cfg: RunConfig) -> int:
 
 def _lvalue_series_at(cfg: RunConfig, at, value: float):
     """(L, None) by the series at one sweep value, or (nan, error) where
-    the series is not defined there."""
+    the point has no operating duty or the series is not defined there."""
     params, scheme, D = at(float(value))
-    D = _resolve_duty(cfg.duty if D is None else D, params, scheme)
     try:
+        D = _resolve_duty(cfg.duty if D is None else D, params, scheme)
         return _series_lvalue(params, scheme, D, cfg.terms), None
     except SubharmonicError as exc:
         return float("nan"), exc
@@ -258,6 +260,7 @@ def cmd_window(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     cycles = cfg.cycles if cfg.cycles is not None else 576
+    tail = 64  # cycles sampled densely
     out = _default_out(cfg, "simulate")
     root, ext = os.path.splitext(out)
     dense_out = f"{root}_dense{ext or '.csv'}"
@@ -276,7 +279,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             cfg.params,
             cfg.scheme,
             cycles=cycles,
-            dense=True,
+            dense_cycles=tail,
             divergence_bound=cfg.divergence_bound,
         )
     except Divergence as exc:
@@ -288,18 +291,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_strobe(trace)
     d = trace.dense
     header = ("t",) + trace.labels + ("y", "h", "v_d")
-    # the dense tail is the last window cycles, which repeat with the
-    # strobe's period; each samples the same ramp grid, and the drive is
-    # v_s while the switch is on, else 0
-    grid = len(d.t) // trace.window
-    h = np.tile(_text(d.h[:grid]), trace.window)
+    # the dense tail covers the last `tail` cycles, which repeat with the
+    # strobe's period from cycle j on; each samples the same ramp grid,
+    # and the drive is v_s while the switch is on, else 0
+    grid = len(d.t) // tail
+    h = np.tile(_text(d.h[:grid]), tail)
     v_d = _text((0.0, cfg.params.v_s))[(d.v_d != 0.0).astype(int)]
-    period = grid * trace.repeat[1] if trace.repeat else len(d.t)
-    _write_csv(dense_out, header,
-               _repeating_rows(d.t, (d.x, d.y, h, v_d), 0, period))
+    j, period = trace.repeat or (cycles, tail)  # none: no row repeats
+    first = grid * max(j - (cycles - tail), 0)
+    _write_csv(dense_out, header, _repeating_rows(
+        d.t, (d.x, d.y, h, v_d), first, grid * period))
     vo = d.x @ build_closed_loop(cfg.params, cfg.scheme).vo_row
     print(f"simulate: {cycles} cycles, wrote {out} and {dense_out}")
-    print(f"output ripple (last {trace.window} cycles): "
+    print(f"output ripple (last {tail} cycles): "
           f"{_fmt(vo.max() - vo.min())}")
     print(trace.classification)
     return 0

@@ -199,8 +199,9 @@ def pole_trajectory(
     exactly where det(I + J) changes sign, so each -1 crossing seen
     between two grid points is refined by Brent's method on that smooth
     scalar to a relative tolerance of 1e-10 in the swept parameter, and
-    its eigenvalue is taken once, at the root.  The grid points' engines
-    come from one batched build, each the bits its point builds alone.
+    its eigenvalue is taken once, at the root, and its direction as the
+    parameter increases.  The grid points' engines come from one batched
+    build, each the bits its point builds alone.
     Failures at individual points are recorded and the sweep continues;
     a grid below 4 is rejected once, before any point runs.
     """
@@ -272,7 +273,8 @@ def pole_trajectory(
             )
             continue
         eig = min(eigs, key=lambda z: abs(z + 1.0))
-        direction = "exit" if sa > 0.0 else "enter"
+        # by the parameter's order, whichever way the grid runs
+        direction = "exit" if (sa > 0.0) == (b > a) else "enter"
         crossings.append(CrossingEvent(root, complex(eig), direction))
 
     return PoleTrajectory(

@@ -294,24 +294,11 @@ class ControlScheme:
 
     def _coupled(self, params, solve_for):
         """The root of L(x, duty_ratio(x)) = 1 in x = solve_for: the first
-        sign change on a log grid from 1e-3 to 1e4 times the present value,
-        refined by brentq; points whose duty leaves (0, 1) are skipped."""
-        at = sweep_point(params, self, solve_for)
+        crossing of ``lplot`` over a log grid from 1e-3 to 1e4 times the
+        present value, on which points with no operating duty read nan."""
         x0 = getattr(params if hasattr(params, solve_for) else self, solve_for)
-
-        def lvalue(x):
-            pr, sch, _ = at(x)
-            return closed_form_lvalue(pr, sch, duty_ratio(pr, sch))
-
-        grid = np.geomspace(1e-3 * x0, 1e4 * x0, 240)
-        lv = np.full(grid.size, np.nan)
-        for i, x in enumerate(grid):
-            try:
-                lv[i] = lvalue(x)
-            except DomainError:
-                pass
-        roots = grid_crossings(grid, lv, lambda lo, hi: brentq(
-            lambda x: lvalue(x) - 1.0, lo, hi, xtol=1e-14 * x0, rtol=8.9e-16))
+        roots = lplot(params, self, solve_for,
+                      np.geomspace(1e-3 * x0, 1e4 * x0, 240)).crossings
         if not roots:
             raise NoRoot(f"no critical {solve_for} found on the search range")
         return roots[0]
@@ -850,7 +837,9 @@ def lplot(
     The grid must be non-empty and strictly monotone.  Crossings between
     adjacent grid points are refined by Brent's method on the underlying
     closed form to full precision, in any units.  ``duty`` pins the duty
-    cycle for sweeps that would otherwise re-derive it per point.
+    cycle for sweeps that would otherwise re-derive it per point; a sweep
+    over D refuses it.  A point whose re-derived duty leaves (0, 1) reads
+    nan; when no point has a duty, the first point's error is raised.
 
     A sweep over D or p evaluates the whole grid in one array call of
     ``scheme.lvalue`` (no scheme's nominal duty moves with omega_p); one
@@ -860,7 +849,10 @@ def lplot(
     at = sweep_point(params, scheme, variable)
     g = _grid(grid)
     one_call = True
+    missing = []  # the error of each point with no operating duty
     if variable == "D":
+        if duty is not None:
+            raise DomainError("a duty sweep takes no pinned duty")
         lvalue = lambda x: scheme.lvalue(params, x)
     elif variable == "p":
         # what replacing omega_p with p * omega_s would reject
@@ -878,10 +870,16 @@ def lplot(
 
         def lvalue(x):
             pr, sch, _ = at(x)
-            D = duty if duty is not None else duty_ratio(pr, sch)
+            try:
+                D = duty if duty is not None else duty_ratio(pr, sch)
+            except DomainError as exc:
+                missing.append(exc)
+                return math.nan
             return closed_form_lvalue(pr, sch, D)
 
     lv = lvalue(g) if one_call else np.array([lvalue(x) for x in g])
+    if len(missing) == g.size:
+        raise missing[0]
     crossings = grid_crossings(g, lv, lambda lo, hi: brentq(
         lambda x: lvalue(x) - 1.0, lo, hi,
         xtol=1e-15 * max(abs(lo), abs(hi)), rtol=8.9e-16))

@@ -462,8 +462,8 @@ class SimTrace:
     """Stroboscopic record of a run plus its periodicity verdict.
 
     repeat is (j, period) when the strobe re-entered x_j bit for bit at
-    cycle j + period before the dense tail: every later row, duty and
-    dense cycle is then a copy from period cycles back.  None otherwise.
+    cycle j + period: every later row, duty and dense cycle is then a
+    copy from period cycles back.  None when no state repeats.
     """
 
     strobe: np.ndarray
@@ -520,8 +520,7 @@ def simulate(
     x_init="auto",
     window: int = 64,
     grid: int = 64,
-    dense: bool = False,
-    dense_cycles: Optional[int] = None,
+    dense_cycles: int = 0,
     divergence_bound: Optional[float] = None,
 ) -> SimTrace:
     """Run the switched simulation and classify its long-run behavior.
@@ -530,25 +529,23 @@ def simulate(
     grid, built here.  The classifier looks at the last `window`
     stroboscopic samples, so cycles must exceed the window by a margin
     covering the transient (the default 576 = 512 transient + 64
-    window).  With dense=True the last `dense_cycles` cycles (default:
-    the window) are also sampled at grid resolution; a value above
-    `cycles` densifies the whole run.
+    window).  The last `dense_cycles` cycles (0: none; a value above
+    `cycles` covers the whole run) are also sampled at grid resolution.
     A state with a component beyond divergence_bound (default 1e6 times
     the largest component of the averaged operating point, so the bound
     scales with the voltages) raises Divergence, which carries the
     partial trace in its ``trace`` attribute.
 
     A cycle is a pure function of the bits of its starting state, so
-    once the strobe re-enters an earlier state bit for bit, the rest of
-    the run repeats with that period (``SimTrace.repeat``): the later
-    rows and duties are copied, and of the dense tail only the first
-    period cycles are stepped, the rest copied from a period back.
+    once the strobe re-enters an earlier state bit for bit the rest of
+    the run repeats with that period (``SimTrace.repeat``) and is copied,
+    and each distinct starting state of the dense tail is sampled once.
     """
     if window < 4:
         raise DomainError("window must be at least 4")
     if cycles < window + 1:
         raise DomainError("cycles must exceed the classification window")
-    if dense_cycles is not None and dense_cycles < 0:
+    if dense_cycles < 0:
         raise DomainError("dense_cycles must be non-negative")
     eng = CycleEngine(build_closed_loop(params, scheme), grid)
     x = _initial_state(params, scheme, x_init, eng.n)
@@ -559,62 +556,48 @@ def simulate(
     bound = float(divergence_bound)
     if not bound > 0.0:
         raise DomainError("divergence_bound must be positive")
-    if dense_cycles is None:
-        dense_cycles = window
-    # cycles [0, dense_from) take plain steps, the rest dense ones
-    dense_from = cycles - min(dense_cycles, cycles) if dense else cycles
 
     strobe = np.empty((cycles + 1, eng.n))
     duties = np.empty(cycles)
     strobe[0] = x
-    # the cycle index of each plain-stepped state, keyed by its bytes
+    # the cycle index of each state, keyed by its bytes
     seen = {x.tobytes(): 0}
-    dxs: List[np.ndarray] = []
-    dys: List[np.ndarray] = []
-    dvds: List[np.ndarray] = []
     repeat = None
-    k, stop = 0, cycles
-    while k < stop:
-        if k >= dense_from:
-            x, duty, xs, ys, vds = eng.step_dense(x)
-            dxs.append(xs)
-            dys.append(ys)
-            dvds.append(vds)
-        else:
-            x, duty = eng.step(x)
-        strobe[k + 1] = x
-        duties[k] = duty
-        k += 1
+    for k in range(1, cycles + 1):
+        x, duties[k - 1] = eng.step(x)
+        strobe[k] = x
         # as np.abs(x).max() <= bound: NaN fails every comparison
         if not all(map(bound.__ge__, map(abs, x.tolist()))):
             partial = SimTrace(strobe[: k + 1].copy(), duties[:k].copy(),
                                "diverged", eng.loop.labels, window)
             raise Divergence(f"state magnitude exceeded {bound:g} "
                              f"at cycle {k}", trace=partial)
-        if k < dense_from:
-            j = seen.setdefault(x.tobytes(), k)
-            if j < k:
-                # x_k is x_j: states from j on repeat with period k - j, so
-                # copy them to the end and step only the first period
-                # dense cycles, whose copies fill the rest of the tail
-                period = k - j
-                repeat = (j, period)
-                strobe[k + 1:] = strobe[
-                    j + np.arange(k + 1 - j, cycles + 1 - j) % period]
-                duties[k:] = duties[j + np.arange(k - j, cycles - j) % period]
-                k, stop = dense_from, min(cycles, dense_from + period)
-                x = strobe[k]
+        j = seen.setdefault(x.tobytes(), k)
+        if j < k:
+            # x_k is x_j: states from j on repeat with period k - j
+            period = k - j
+            repeat = (j, period)
+            strobe[k + 1:] = strobe[
+                j + np.arange(k + 1 - j, cycles + 1 - j) % period]
+            duties[k:] = duties[j + np.arange(k - j, cycles - j) % period]
+            break
     dense_trace = None
-    if dxs:
-        n_dense = cycles - dense_from
-        per = np.arange(n_dense) % len(dxs)
+    first = cycles - min(dense_cycles, cycles)
+    if first < cycles:
+        # the distinct starting states of the tail, in order, and the
+        # index of each tail cycle's start among them
+        starts = {}
+        per = [starts.setdefault(row.tobytes(), len(starts))
+               for row in strobe[first:-1]]
+        xs, ys, vds = (np.stack(s)[per] for s in zip(*(
+            eng.step_dense(np.frombuffer(key))[2:] for key in starts)))
         dense_trace = DenseTrace(
-            t=((dense_from + np.arange(n_dense))[:, None] * eng.T
+            t=(np.arange(first, cycles)[:, None] * eng.T
                + np.arange(eng.grid) * eng.dt).ravel(),
-            x=np.stack(dxs)[per].reshape(-1, eng.n),
-            y=np.stack(dys)[per].ravel(),
-            h=np.tile(eng.h_grid[: eng.grid], n_dense),
-            v_d=np.stack(dvds)[per].ravel(),
+            x=xs.reshape(-1, eng.n),
+            y=ys.ravel(),
+            h=np.tile(eng.h_grid[: eng.grid], cycles - first),
+            v_d=vds.ravel(),
         )
     return SimTrace(
         strobe,

@@ -202,7 +202,7 @@ def test_simulate_csv_round_trips_the_trace(tmp_path):
     r = run_cli("simulate", "--config", config_path("ex2_sim_049.cfg"),
                 "--cycles", "80", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    tr = simulate(cfg.params, cfg.scheme, cycles=80, dense=True,
+    tr = simulate(cfg.params, cfg.scheme, cycles=80, dense_cycles=64,
                   divergence_bound=cfg.divergence_bound)
     header, rows = read_csv(out)
     assert header == ["cycle", "duty", "i_L", "v_C", "z1", "z2"]
@@ -249,6 +249,15 @@ def test_pole_sweep_csv_and_crossings(tmp_path):
     assert header == ["k_p", "re_1", "im_1", "error"]
     assert len(rows) == 11
     assert float(rows[0][1]) == pytest.approx(-0.992548619, abs=1e-7)
+
+
+def test_pole_sweep_downward_reports_the_crossing_as_an_exit(tmp_path):
+    # the eigenvalue leaves the unit disk as k_p increases, whichever way
+    # the grid runs
+    r = run_cli("poles", "--config", config_path("ex1_poles.cfg"),
+                "--sweep", "k_p:9.0:8.0:11", "--out", str(tmp_path / "p.csv"))
+    assert r.returncode == 0, r.stderr
+    assert "crossing: exit at k_p = 8.6257125814246525" in r.stdout
 
 
 def test_pole_single_point_spectrum(tmp_path):
@@ -420,6 +429,42 @@ def test_series_lplot_failing_at_every_point_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("terms", [[], ["--terms", "10000"]])
+def test_duty_sweep_with_a_pinned_duty_exits_3(tmp_path, capsys, terms):
+    # ex4_lplot.cfg pins a duty, which a sweep over D cannot honour
+    out = tmp_path / "l.csv"
+    code = cli.main(["lplot", "--config", config_path("ex4_lplot.cfg"),
+                     "--sweep", "D:0.1:0.9:9", *terms, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: DomainError: a duty sweep takes no pinned duty\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms", [[], ["--terms", "10000"]])
+def test_voltage_sweep_reads_saturated_points_as_nan(tmp_path, capsys, terms):
+    # the RL loop saturates below v_s of about 8: those rows read nan on
+    # both routes and the crossing past them is reported; a sweep that
+    # saturates at every point exits 3
+    out = tmp_path / "l.csv"
+    argv = ["lplot", "--config", config_path("ex1_critical.cfg"), *terms,
+            "--out", str(out), "--sweep"]
+    assert cli.main(argv + ["v_s:1:40:40"]) == 0
+    stdout = capsys.readouterr().out
+    _, rows = read_csv(out)
+    assert rows[0][1] == "nan" and rows[-1][1] != "nan"
+    m = re.search(r"crossing at v_s = (\S+)", stdout)
+    if terms:
+        assert float(m.group(1)) == pytest.approx(9.9795450149478544, abs=1e-3)
+    else:
+        assert m.group(1) == "9.9795450149478544"
+    out.unlink()
+    assert cli.main(argv + ["v_s:1:7:10"]) == 3
+    assert capsys.readouterr().err == (
+        "error: DomainError: operating duty 1 falls outside (0, 1)\n")
+    assert not out.exists()
+
+
 def test_scheme_conditional_keys(tmp_path):
     # a proportional-gain key has no meaning for the averaged-current loop
     cfg = write_cfg(tmp_path, BASE.replace("scheme = rlp", "scheme = acmc"))
@@ -584,18 +629,20 @@ def test_block_writer_matches_a_per_cell_join(n):
     assert "".join(chunks) == _per_cell_lines(*columns)
 
 
-@pytest.mark.parametrize("name,dense_steps", [
-    ("ex1_sim_kp9", 4),     # strobe bits repeat with period 4
-    ("ex3_sim", 2),
-    ("ex4_sim_060", 64),    # its period, 654 cycles, outlasts the tail
-    ("ex4_sim_024", 64),    # never repeats
+@pytest.mark.parametrize("name,cycles,dense_steps", [
+    ("ex1_sim_kp9", None, 4),   # strobe bits repeat with period 4
+    ("ex1_sim_kp9", 200, 44),   # from cycle 176, 40 cycles into the tail
+    ("ex3_sim", None, 2),
+    ("ex4_sim_060", None, 64),  # its period, 654 cycles, outlasts the tail
+    ("ex4_sim_024", None, 64),  # never repeats
 ])
-def test_simulate_csv_is_the_per_cell_text_of_the_trace(tmp_path, monkeypatch,
-                                                        name, dense_steps):
+def test_simulate_csv_is_the_per_cell_text_of_the_trace(
+        tmp_path, monkeypatch, name, cycles, dense_steps):
     # the CLI steps one period of the dense tail and formats a repeating
     # row once; both files must still be a per-cell join of the trace
     cfg = load_config(config_path(f"{name}.cfg"))
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True)
+    cycles = cycles or cfg.cycles
+    tr = simulate(cfg.params, cfg.scheme, cycles=cycles, dense_cycles=64)
     step_dense, calls = CycleEngine.step_dense, []
 
     def counted(self, x):
@@ -605,9 +652,9 @@ def test_simulate_csv_is_the_per_cell_text_of_the_trace(tmp_path, monkeypatch,
     monkeypatch.setattr(CycleEngine, "step_dense", counted)
     out = tmp_path / "s.csv"
     assert cli.main(["simulate", "--config", config_path(f"{name}.cfg"),
-                     "--out", str(out)]) == 0
+                     "--cycles", str(cycles), "--out", str(out)]) == 0
     assert len(calls) == dense_steps
-    cycle = np.arange(cfg.cycles + 1, dtype=float)
+    cycle = np.arange(cycles + 1, dtype=float)
     duties = np.concatenate(([np.nan], tr.duties))
     assert out.read_text() == (",".join(("cycle", "duty") + tr.labels) + "\n"
                                + _per_cell_lines(cycle, duties, tr.strobe))

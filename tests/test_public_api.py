@@ -35,5 +35,8 @@ def test_public_api_lists_every_name_and_counts_its_values():
     params = [p for line in lines[:-1] if "(" in line
               for p in line[line.index("(") + 1:-1].split(", ") if p]
     assert lines[-1] == f"settable values: {len(params)}"
-    assert "steady_state(params, scheme, x_init, grid)" in lines
-    assert "BuckParams(v_s, v_r, V_l, V_h, f_s, L, R, C, R_c)" in lines
+    # a default shows as its repr, so a changed default shows in a diff
+    assert "steady_state(params, scheme, x_init='auto', grid=64)" in lines
+    assert "BuckParams(v_s, v_r, V_l, V_h, f_s, L, R, C=None, R_c=0.0)" in lines
+    assert ("simulate(params, scheme, cycles=576, x_init='auto', window=64, "
+            "grid=64, dense_cycles=0, divergence_bound=None)") in lines

@@ -271,6 +271,19 @@ def test_gain_sweep_crossing(ex1):
     assert [e.value for e in traj.errors] == []
 
 
+def test_reversed_sweep_reads_directions_by_parameter_order(ex1, ex2, sch2):
+    # a grid that runs downward meets the crossings in reverse order, but
+    # each keeps the direction it has as the parameter increases
+    for params, scheme, variable, grid in (
+            (ex1, RLP(k_p=8.0), "k_p", np.linspace(8, 9, 11)),
+            (ex2, sch2, "p", np.linspace(0.10, 0.90, 17))):
+        up = pole_trajectory(params, scheme, variable, grid).crossings
+        down = pole_trajectory(params, scheme, variable, grid[::-1]).crossings
+        assert [(c.value, c.direction) for c in down] == [
+            (c.value, c.direction) for c in up[::-1]]
+        assert up[0].direction == "exit"
+
+
 def test_pole_ratio_sweep_finds_window(ex2, sch2):
     traj = pole_trajectory(ex2, sch2, "p", np.linspace(0.10, 0.90, 17))
     assert [c.direction for c in traj.crossings] == ["exit", "enter"]

@@ -716,6 +716,32 @@ def test_pinned_critical_routes_that_have_no_answer(ex1):
         RLP(k_p=8.0).critical(ex1, "v_s", 0.6)
 
 
+def test_duty_sweep_refuses_a_pinned_duty(ex1):
+    # the duty is the swept variable, so a pinned one cannot also hold
+    with pytest.raises(DomainError, match="a duty sweep takes no pinned duty"):
+        lplot(ex1, RLP(k_p=8.0), "D", np.linspace(0.1, 0.9, 9), duty=0.3)
+
+
+def test_points_without_an_operating_duty_read_nan(ex1):
+    # below v_s of about 8 the RL loop saturates (duty 1): those points read
+    # nan and the crossing past them is still found; a grid with no duty
+    # at any point raises its first point's error
+    scheme = RLP(k_p=8.0)
+    grid = np.linspace(1.0, 40.0, 40)
+    curve = lplot(ex1, scheme, "v_s", grid)
+    saturated = [v for v in grid
+                 if rlp_steady_duty(dataclasses.replace(ex1, v_s=v), 8.0) == 1.0]
+    assert saturated and np.all(np.isnan(curve.lvalues[:len(saturated)]))
+    assert np.all(np.isfinite(curve.lvalues[len(saturated):]))
+    assert curve.crossings == (9.9795450149478544,)
+    assert curve.crossings[0] == pytest.approx(
+        solve_critical(ex1, scheme, "v_s").critical_value, rel=1e-14)
+    with pytest.raises(DomainError, match="operating duty 1 falls outside"):
+        lplot(ex1, scheme, "v_s", np.linspace(1.0, 7.0, 10))
+    with pytest.raises(DomainError, match="v_s must be positive"):
+        lplot(ex1, scheme, "v_s", np.linspace(-1.0, 40.0, 42))
+
+
 def test_rl_gain_follows_the_common_routing(ex1):
     # a pinned duty takes the base rule, k_p / L, which lplot crosses at;
     # unpinned, the gain carries its own duty (rlp_critical_kp)

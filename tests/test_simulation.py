@@ -531,11 +531,11 @@ def _plain_step_loop(eng, x, cycles):
     return np.array(strobe), np.array(duties)
 
 
-def _plain_repeat(strobe, dense_from):
-    # the first (j, k - j) with x_k equal to an earlier x_j bit for bit,
-    # found by a plain-stepped state (k < dense_from); None if none is
+def _plain_repeat(strobe):
+    # the first (j, k - j) with x_k equal to an earlier x_j bit for bit;
+    # None if no state repeats
     seen = {}
-    for k, row in enumerate(strobe[:dense_from]):
+    for k, row in enumerate(strobe):
         j = seen.setdefault(row.tobytes(), k)
         if j < k:
             return j, k - j
@@ -555,13 +555,13 @@ def test_copied_strobe_equals_a_plain_step_loop(name, repeats):
     # be what stepping gives; ex4_sim_060's period outlasts the tail
     cfg = load_config(config_path(f"{name}.cfg"))
     eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True)
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense_cycles=64)
     strobe, duties = _plain_step_loop(eng, tr.strobe[0], cfg.cycles)
     assert np.array_equal(tr.strobe, strobe)
     assert np.array_equal(tr.duties, duties)
     assert (len({row.tobytes() for row in strobe}) < len(strobe)) == repeats
     dense_from = cfg.cycles - 64
-    assert tr.repeat == _plain_repeat(strobe, dense_from)
+    assert tr.repeat == _plain_repeat(strobe)
     assert (tr.repeat is not None) == repeats
     xs, ys, vds = zip(*(eng.step_dense(x)[2:] for x in strobe[dense_from:-1]))
     t = [k * eng.T + np.arange(eng.grid) * eng.dt
@@ -569,6 +569,27 @@ def test_copied_strobe_equals_a_plain_step_loop(name, repeats):
     for got, want in ((tr.dense.t, t), (tr.dense.x, xs), (tr.dense.y, ys),
                       (tr.dense.v_d, vds)):
         assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("name,cycles", [(name, None) for name in SIM_CONFIGS]
+                         + [("ex1_sim_kp9.cfg", 200)])
+def test_repeat_does_not_depend_on_the_dense_tail(name, cycles):
+    # a repeat that begins inside the tail (ex1_sim_kp9 at 200 cycles:
+    # (176, 4)) is found as it is without one
+    cfg = load_config(config_path(name))
+    cycles = cycles or cfg.cycles
+    plain = simulate(cfg.params, cfg.scheme, cycles=cycles)
+    tail = simulate(cfg.params, cfg.scheme, cycles=cycles, dense_cycles=64)
+    assert tail.repeat == plain.repeat
+    assert np.array_equal(tail.strobe, plain.strobe)
+    assert plain.dense is None and tail.dense.x.shape[0] == 64 * 64
+    if cycles == 200:
+        assert plain.repeat == (176, 4)
+
+
+def test_dense_flag_is_gone(ex1, rlp8):
+    with pytest.raises(TypeError):
+        simulate(ex1, rlp8, cycles=128, dense=True)
 
 
 def _count_calls(monkeypatch, *names):
@@ -594,22 +615,22 @@ def test_repeat_skips_the_remaining_steps(monkeypatch):
 
 @pytest.mark.parametrize("dense_cycles", [0, 8, 64, 5000])
 def test_dense_tail_is_stepped_in_full(monkeypatch, dense_cycles):
-    # the strobe repeats with period 4 before the tail, so only the first
-    # min(n_dense, 4) dense cycles are stepped and the rest copied;
-    # dense_cycles above cycles densifies the whole run, which leaves no
-    # plain state to repeat, so every cycle is stepped
+    # the strobe repeats with period 4 from cycle 176, so the run stops
+    # stepping at cycle 180 and each distinct start of the tail is
+    # stepped densely once: min(n_dense, 4) of them when the tail lies
+    # in the repeat, all 180 when dense_cycles above cycles densifies
+    # the whole run
     cfg = load_config(config_path("ex1_sim_kp9.cfg"))
     calls = _count_calls(monkeypatch, "step", "step_dense")
-    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles, dense=True,
+    tr = simulate(cfg.params, cfg.scheme, cycles=cfg.cycles,
                   dense_cycles=dense_cycles)
     n_dense = min(dense_cycles, cfg.cycles)
+    assert tr.repeat == (176, 4)
+    assert calls["step"] == 180
     if n_dense < cfg.cycles:
-        assert tr.repeat == (176, 4)
         assert calls["step_dense"] == min(n_dense, 4)
     else:
-        assert tr.repeat is None
-        assert calls["step_dense"] == n_dense == 2112
-    assert calls["step"] < cfg.cycles - n_dense or calls["step"] == 0
+        assert calls["step_dense"] == 180
     if n_dense:
         assert tr.dense.x.shape[0] == n_dense * 64
     else:
@@ -618,7 +639,7 @@ def test_dense_tail_is_stepped_in_full(monkeypatch, dense_cycles):
 
 def test_negative_dense_cycles_rejected(ex1, rlp8):
     with pytest.raises(DomainError, match="dense_cycles"):
-        simulate(ex1, rlp8, cycles=128, dense=True, dense_cycles=-5)
+        simulate(ex1, rlp8, cycles=128, dense_cycles=-5)
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
@@ -629,8 +650,7 @@ def test_non_positive_divergence_bound_rejected(ex1, rlp8, bound):
 
 
 def test_dense_trace_structure(ex3, sch4_at):
-    tr = simulate(ex3, sch4_at(0.6), cycles=192, window=32, dense=True,
-                  dense_cycles=8)
+    tr = simulate(ex3, sch4_at(0.6), cycles=192, window=32, dense_cycles=8)
     d = tr.dense
     assert d is not None
     assert np.all(np.diff(d.t) > 0.0)
@@ -705,7 +725,7 @@ def test_five_state_fixed_point(ex3, sch3):
 def test_ripple_prediction_matches_simulation(ex3):
     params = dataclasses.replace(ex3, R_c=0.0)
     sch = VMC3(K_c=7.78e4, kappa_z=0.5, omega_p=0.2 * ex3.omega_s)
-    tr = simulate(params, sch, cycles=2112, dense=True, dense_cycles=4)
+    tr = simulate(params, sch, cycles=2112, dense_cycles=4)
     assert tr.classification == "period-1"
     loop = build_closed_loop(params, sch)
     vo = tr.dense.x @ loop.vo_row
