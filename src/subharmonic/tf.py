@@ -14,7 +14,8 @@ from the pole/zero structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +41,11 @@ class RationalTF:
         All must be strictly positive; a pole at the origin is expressed
         through ``integrators`` instead.
     integrators : int
-        Number of poles at s = 0.
+        Number of poles at s = 0, a whole number.
     quad_zeros, quad_poles : sequence of (b1, b2) pairs
         Second-order factors ``1 + b1*s + b2*s^2`` with ``b2 > 0``.
+
+    Every value must be finite; anything else raises DomainError.
     """
 
     scale: float
@@ -61,16 +64,23 @@ class RationalTF:
         object.__setattr__(
             self, "quad_poles", tuple((float(a), float(b)) for a, b in self.quad_poles)
         )
+        if not float(self.integrators).is_integer():
+            raise DomainError("integrator count must be a whole number")
         object.__setattr__(self, "integrators", int(self.integrators))
         object.__setattr__(self, "scale", float(self.scale))
+        if not math.isfinite(self.scale):
+            raise DomainError("scale must be finite")
         if self.integrators < 0:
             raise DomainError("integrator count must be nonnegative")
         for w in self.zeros + self.poles:
-            if not w > 0.0:
-                raise DomainError("corner frequencies must be strictly positive")
+            if not 0.0 < w < math.inf:
+                raise DomainError("corner frequencies must be positive and finite")
         for b1, b2 in self.quad_zeros + self.quad_poles:
-            if not b2 > 0.0:
-                raise DomainError("quadratic factors need a positive s^2 coefficient")
+            if not math.isfinite(b1):
+                raise DomainError("quadratic factors need a finite s coefficient")
+            if not 0.0 < b2 < math.inf:
+                raise DomainError(
+                    "quadratic factors need a positive, finite s^2 coefficient")
         if self.num_order > self.den_order:
             raise DomainError("numerator order must not exceed denominator order")
 
@@ -157,8 +167,13 @@ class RationalTF:
 
     @staticmethod
     def _factors(s, corners, quads):
+        # the add runs in place, which gives its bits; the products stay
+        # out of place, as numpy's in-place complex multiply of a
+        # one-element array can differ from the product in the last bit
         for w in corners:
-            yield 1.0 + s * (1.0 / w)
+            f = s * (1.0 / w)
+            f += 1.0
+            yield f
         for b1, b2 in quads:
             yield 1.0 + b1 * s + b2 * s * s
 

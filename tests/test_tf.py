@@ -1,5 +1,7 @@
 """Factored rational transfer functions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,10 +74,26 @@ def test_frozen_spot_value():
     dict(quad_poles=[(0.1, 0.0)]),
     dict(quad_zeros=[(0.1, -0.5)]),
     dict(zeros=[1.0, 2.0], poles=[3.0]),   # improper
+    dict(scale=math.nan, poles=[1.0]),
+    dict(scale=-math.inf, poles=[1.0]),
+    dict(poles=[math.inf], integrators=1),
+    dict(zeros=[math.inf], poles=[1.0]),
+    dict(quad_poles=[(math.nan, 0.5)]),
+    dict(quad_zeros=[(math.inf, 0.5)], quad_poles=[(0.1, 0.5)]),
+    dict(quad_poles=[(0.1, math.inf)]),
+    dict(integrators=1.5),
+    dict(integrators=math.nan),
+    dict(integrators=math.inf),
 ])
 def test_construction_validation(kw):
     with pytest.raises(DomainError):
-        RationalTF(1.0, **kw)
+        RationalTF(**{"scale": 1.0, **kw})
+
+
+def test_a_whole_integrator_count_of_any_type_is_taken():
+    for m in (2, 2.0, np.int64(2)):
+        T = RationalTF(1.0, poles=[3.0], integrators=m)
+        assert type(T.integrators) is int and T.integrators == 2
 
 
 def test_immutability():

@@ -1,5 +1,7 @@
 """Kernel functions and the series evaluation of the ripple functional."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from subharmonic import (
     DomainError,
+    NoConvergence,
     RationalTF,
     TableCase,
     alpha,
@@ -367,7 +370,62 @@ def test_duty_range_is_validated():
         f_transform_case(TableCase("C2"), 0.4, -WS)
 
 
+_ROUTES = {
+    "series": lambda omega_s: f_transform_series(
+        RationalTF(1.0, poles=[0.5 * WS]), 0.4, omega_s),
+    "case": lambda omega_s: f_transform_case(TableCase("C2"), 0.4, omega_s),
+    "rational": lambda omega_s: f_transform_rational(
+        RationalTF(1.0, poles=[0.5 * WS]), 0.4, omega_s),
+}
+
+
+@pytest.mark.parametrize("omega_s", [0.0, -WS, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_every_route_rejects_a_switching_rate_not_positive_and_finite(route, omega_s):
+    assert math.isfinite(_ROUTES[route](WS))
+    with pytest.raises(DomainError, match="omega_s must be positive"):
+        _ROUTES[route](omega_s)
+
+
 # ------------------------------------------------------------ series route
+
+
+@pytest.mark.parametrize("K", [0, -3, 1e4, 2.5, True, "10000", None])
+def test_series_rejects_a_term_count_that_is_not_an_integer_of_at_least_one(K):
+    with pytest.raises(DomainError, match="K must be"):
+        f_transform_series(RationalTF(1.0, poles=[0.5 * WS]), 0.4, WS, K=K)
+
+
+def test_series_takes_numpy_integer_term_counts():
+    T = RationalTF(1.0, poles=[0.5 * WS])
+    want = f_transform_series(T, 0.4, WS, K=10_000)
+    for K in (np.int64(10_000), np.int32(10_000), np.uint16(10_000)):
+        assert f_transform_series(T, 0.4, WS, K=K) == want
+
+
+@pytest.mark.parametrize("K", [10, 10_000])
+def test_series_refuses_a_sum_that_is_not_finite(K):
+    # the first harmonics are nan, the tail decays like 1/s
+    T = lambda s: np.where(np.abs(s) < 2 * WS, np.nan, 1 / s)
+    with pytest.raises(NoConvergence, match="not finite"):
+        f_transform_series(T, 0.4, WS, K=K)
+
+
+@pytest.mark.parametrize("K", [10, 4096, 10_000, 12_345])
+def test_series_evaluates_each_block_once_at_its_full_then_half_points(K):
+    seen = []
+
+    def T(s):
+        seen.append(np.array(s, copy=True))
+        return 1.0 / (1.0 + s)
+
+    _raw_terms(T, 0.37, WS, K)
+    assert len(seen) == math.ceil(K / 4096)
+    for lo, points in zip(range(0, K, 4096), seen):
+        k = np.arange(lo + 1, min(lo + 4096, K) + 1, dtype=float)
+        want = np.concatenate([1j * (k * WS), 1j * ((k - 0.5) * WS)])
+        assert points.dtype == want.dtype and points.shape == want.shape
+        assert np.array_equal(points.view(np.uint64), want.view(np.uint64))
 
 
 def test_series_matches_kernel_on_single_pole_grid():
