@@ -270,6 +270,13 @@ class ControlScheme:
         target = params.v_r * params.R if w.i_gain else params.v_r
         return target / (_sensed_gain(w) * params.v_s)
 
+    def _orbit_duty(self, params):
+        """The duty of every period-1 switching orbit where the averaged
+        loop pins it, else None.  An integrator holds the sensed quantity's
+        cycle average at v_r, so the averaged balance is exact on the
+        switched orbit and its duty is the nominal one."""
+        return self.nominal_duty(params) if self.wiring(params).integrators else None
+
     def critical(self, params: BuckParams, solve_for: str, D: float) -> float:
         return self._critical(params, solve_for, D, None)
 
@@ -379,6 +386,11 @@ class RLP(ControlScheme):
     def nominal_duty(self, params):
         # no integrator: the exact modulator equation sets the duty
         return rlp_steady_duty(params, self.k_p)
+
+    def _orbit_duty(self, params):
+        # the current peaks at the switching instant, so the modulator
+        # equation is the switched orbit's own
+        return self.nominal_duty(params)
 
     def lvalue(self, params, D):
         """L = v_s k_p p alpha(D, p) / V_m with p = R / (L omega_s)."""

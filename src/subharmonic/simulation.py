@@ -621,8 +621,11 @@ def cycle_jacobian(
 
     The independent cross-check of ``CycleEngine.step_jacobian``; its
     error shrinks as rel**2.  With interior=True every perturbed cycle
-    must commute at an interior crossing, else DegenerateOrbit.
+    must commute at an interior crossing, else DegenerateOrbit.  A rel
+    that is not positive and finite raises DomainError.
     """
+    if not 0.0 < rel < math.inf:
+        raise DomainError("rel must be positive and finite")
     n = engine.n
     J = np.empty((n, n))
     for i in range(n):
@@ -641,39 +644,66 @@ def cycle_jacobian(
     return J
 
 
-def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
-    """(x, d) at every sign change of det M(d) over the grid; see _orbit."""
-    n, grid = eng.n, eng.grid
-    m = n + 1
-    lift = np.eye(n, m)
+def _closed(eng: CycleEngine, cycle: np.ndarray, y_on, h) -> np.ndarray:
+    """M(d) in place of the cycle propagator (one matrix or a stack), its
+    last row y_on less h on the constant; see _orbit."""
+    n = eng.n
+    cycle[..., :n, :] -= np.eye(n, n + 1)
+    cycle[..., n, :] = y_on
+    cycle[..., n, n] -= h
+    return cycle
 
-    def close(cycle, y_on, h):
-        # the cycle propagator (one matrix or a stack) becomes M(d) in place
-        cycle[..., :n, :] -= lift
-        cycle[..., n, :] = y_on
-        cycle[..., n, n] -= h
-        return cycle
 
-    def M_at(i, u, y_on):
-        # M(d) at fraction u of cell i; y_on's rows are y P_on[l] Phi_on[i - 1]
-        cycle = eng.C[i].copy()
-        cycle[:n, n] -= eng.W[i] @ (1.0 - u) ** eng._k_W
-        return close(cycle, u ** eng._k_on @ y_on,
-                     eng.h_grid[i - 1] + eng.h_slope_dt * u)
+def _matrix_at(eng: CycleEngine, i: int, u: float, y_on) -> np.ndarray:
+    """M(d) at fraction u of cell i; y_on's rows are y P_on[l] Phi_on[i - 1]."""
+    cycle = eng.C[i].copy()
+    cycle[:eng.n, eng.n] -= eng.W[i] @ (1.0 - u) ** eng._k_W
+    return _closed(eng, cycle, u ** eng._k_on @ y_on,
+                   eng.h_grid[i - 1] + eng.h_slope_dt * u)
 
-    dets = np.linalg.det(close(eng.C.copy(), eng.yPhi_on, eng.h_grid))
+
+def _null_state(eng: CycleEngine, i: int, u: float, y_on) -> np.ndarray:
+    """x of the null vector [x; 1] of M(d) at fraction u of cell i."""
+    n = eng.n
+    M = _matrix_at(eng, i, u, y_on)
+    # the last column carries volts: scale it to the others' size
+    sigma = np.abs(M[:, n]).max() / np.abs(M[:, :n]).max() or 1.0
+    M[:, n] /= sigma
+    z = np.linalg.svd(M)[2][-1]
+    return sigma * z[:n] / z[n]
+
+
+def _scanned_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
+    """(x, d) at every sign change of det M(d) over the grid, each refined
+    by brentq inside its cell; see _orbit."""
+    dets = np.linalg.det(_closed(eng, eng.C.copy(), eng.yPhi_on, eng.h_grid))
     found = []
     for i in (np.nonzero((dets[:-1] > 0.0) != (dets[1:] > 0.0))[0] + 1).tolist():
         y_on = eng.yP_on @ eng.Phi_on[i - 1]
-        u = brentq(lambda u: np.linalg.det(M_at(i, u, y_on)), 0.0, 1.0,
+        u = brentq(lambda u: np.linalg.det(_matrix_at(eng, i, u, y_on)), 0.0, 1.0,
                    xtol=eng.u_tol, rtol=8.9e-16)
-        # the last column carries volts: scale it to the others' size
-        M = M_at(i, u, y_on)
-        sigma = np.abs(M[:, n]).max() / np.abs(M[:, :n]).max() or 1.0
-        M[:, n] /= sigma
-        z = np.linalg.svd(M)[2][-1]
-        found.append((sigma * z[:n] / z[n], (i - 1 + u) / grid))
+        found.append((_null_state(eng, i, u, y_on), (i - 1 + u) / eng.grid))
     return found
+
+
+def _orbit_duties(eng: CycleEngine) -> List[Tuple[np.ndarray, float]]:
+    """The candidate orbits (x, d) of eng's loop; see _orbit.
+
+    Where the averaged loop pins the orbit's duty (the scheme's
+    ``_orbit_duty``: RLP, and the integrator loops ACMC and VMC3) there is
+    one candidate, at that duty, and none when it falls outside (0, 1);
+    otherwise (CMC, PVMC, CFPVR) the det M scan of ``_scanned_duties``
+    gives one per sign change.
+    """
+    d = eng.loop.scheme._orbit_duty(eng.loop.params)
+    if d is None:
+        return _scanned_duties(eng)
+    if not 0.0 < d < 1.0:
+        return []
+    # d = (i - 1 + u) / grid, u in [0, 1] as the rounding of d * grid allows
+    i = min(int(d * eng.grid), eng.grid - 1) + 1
+    y_on = eng.yP_on @ eng.Phi_on[i - 1]
+    return [(_null_state(eng, i, d * eng.grid - (i - 1), y_on), d)]
 
 
 def _orbit(eng: CycleEngine,
@@ -685,22 +715,34 @@ def _orbit(eng: CycleEngine,
     M(d) [x; 1] = 0: the top n rows of M(d) are those of the cycle
     propagator Phi_off((1-d)T) Phi_on(dT) less [I 0], and its last row is
     y Phi_on(dT) less h(d) on the constant.  This one condition covers
-    loops with and without an integrator.  det M is scanned over the
-    engine's cycle maps C, each sign change is refined by brentq inside
-    its cell, where W carries the partial cell, and x is the null vector
-    of M at the root, its volts column scaled to the size of the others.
+    loops with and without an integrator.  Where the averaged loop pins
+    the duty (RLP's exact modulator equation; the averaged balance of
+    ACMC and VMC3, which an integrator makes exact) M is taken at that
+    duty alone, in the cell and fraction it falls in.  Otherwise (CMC,
+    PVMC, CFPVR) det M is scanned over the engine's cycle maps C and each
+    sign change is refined by brentq inside its cell, where W carries the
+    partial cell.  Either way x is the null vector of M at the duty, its
+    volts column scaled to the size of the others.
 
     One exact Newton step with ``step_jacobian`` polishes x and a second
     call confirms it and gives J: the residual is within 1e-12 max|x|,
-    the cycle switches at the root's duty (so the root is its first
+    the cycle switches at the candidate's duty (so it is its first
     crossing) and it neither saturates nor grazes the ramp.  Candidates
     that fail are skipped; of those that pass, the one nearest x_init is
-    returned.  Raises NoConvergence when no interior switching orbit
-    exists.
+    returned.  x_init is checked before any work, and the "auto" state
+    is built only to order more than one candidate.  Raises NoConvergence
+    when no interior switching orbit exists: for a pinned duty, when the
+    cycle rejects the one candidate, since no period-1 orbit of such a
+    loop has another duty.
     """
-    x0 = _initial_state(eng.loop.params, eng.loop.scheme, x_init, eng.n)
+    params, scheme = eng.loop.params, eng.loop.scheme
+    x0 = None if isinstance(x_init, str) and x_init == "auto" else (
+        _initial_state(params, scheme, x_init, eng.n))
     candidates = _orbit_duties(eng)
-    candidates.sort(key=lambda c: float(np.linalg.norm(c[0] - x0)))
+    if len(candidates) > 1:
+        if x0 is None:
+            x0 = _initial_state(params, scheme, "auto", eng.n)
+        candidates.sort(key=lambda c: float(np.linalg.norm(c[0] - x0)))
     for x, d in candidates:
         try:
             fx, _, J = eng.step_jacobian(x)
@@ -713,9 +755,12 @@ def _orbit(eng: CycleEngine,
         if (J is not None and abs(duty - d) <= 1e-9
                 and np.abs(fx - x).max() <= 1e-12 * np.abs(x).max()):
             return x, duty, J
+    pinned = scheme._orbit_duty(params)
     raise NoConvergence(
         "no interior period-1 switching orbit: "
-        + (f"the cycle rejects all {len(candidates)} candidate duties"
+        + (f"the averaged loop pins the duty at {pinned!r}, and the cycle "
+           "confirms no orbit there" if pinned is not None
+           else f"the cycle rejects all {len(candidates)} candidate duties"
            if candidates else "det M(d) keeps one sign over the duty grid")
     )
 
@@ -730,7 +775,9 @@ def steady_state(
 
     The (x, duty) of ``_orbit`` on the engine of params and scheme at the
     given grid.  The same solve returns the exact Jacobian there to
-    ``poles`` and ``pole_trajectory``; no engine holds an orbit.  Raises
+    ``poles`` and ``pole_trajectory``; no engine holds an orbit.  For RLP,
+    ACMC and VMC3 the solve starts at the duty the averaged loop pins;
+    for CMC, PVMC and CFPVR it scans det M(d) over the duty grid.  Raises
     NoConvergence when no interior switching orbit exists.
     """
     return _orbit(CycleEngine(build_closed_loop(params, scheme), grid),

@@ -341,13 +341,15 @@ def _constant_part(T, omega_s: float) -> float:
 def f_transform_series(T, D, omega_s: float, K: int = 10_000):
     """Direct truncated summation of the F-transform series (the oracle).
 
-    T may be a RationalTF or any callable mapping complex s to T(s).
-    A relative-degree-0 part is handled by the exact split
-    F[T] = -T(inf) + F[T - T(inf)] since the constant's own series does
-    not converge term-by-term.  The strictly proper remainder is summed
-    with a smoothly tapered window; Richardson extrapolation over the
-    last two halvings of K removes the residual 1/K and 1/K^2 terms of
-    the monotone tails, leaving errors well below 1e-6 at K = 10^4.
+    T may be a RationalTF or any callable mapping complex s to T(s).  D
+    may be an array: each element is summed alone, with the bits of its
+    own scalar call, and a scalar D gives a float.  A relative-degree-0
+    part is handled by the exact split F[T] = -T(inf) + F[T - T(inf)]
+    since the constant's own series does not converge term-by-term.  The
+    strictly proper remainder is summed with a smoothly tapered window;
+    Richardson extrapolation over the last two halvings of K removes the
+    residual 1/K and 1/K^2 terms of the monotone tails, leaving errors
+    well below 1e-6 at K = 10^4.
 
     The K harmonics are taken in blocks of 4,096, and T is called once
     per block with one array: the block's full points j k omega_s, then
@@ -364,12 +366,15 @@ def f_transform_series(T, D, omega_s: float, K: int = 10_000):
     omega_s, D = 0.0233) and 8.9e-6 with corners up to 15 omega_s.  Poles
     (11.81, 12.36, 13.50) omega_s, zeros (4.56, 2.56) omega_s and
     D = 0.0583 miss by 6.1e-7 at K = 10^4 and by 2.9e-11 at K = 10^5.
+    Above D = 0.9 the envelope is undocumented, and near either duty bound
+    the sum can miss without raising: for T = 1/(1 + s/3), omega_s = 6.28
+    and K = 10^4 it misses by 25 % at D = 0.999 and by 52 % at D = 1e-9.
     """
     if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
         raise DomainError("K must be an integer >= 1")
     K = int(K)
     _check_omega_s(omega_s)
-    D = float(_check_duty(np.asarray(D, dtype=float)))
+    D = _check_duty(D)
 
     t_inf = _constant_part(T, omega_s)
     if isinstance(T, RationalTF):
@@ -379,6 +384,15 @@ def f_transform_series(T, D, omega_s: float, K: int = 10_000):
     else:
         evalT = lambda s: np.asarray(T(s), dtype=complex)
 
+    if D.ndim == 0:
+        return _series_sum(evalT, t_inf, float(D), omega_s, K)
+    # one scalar sum per duty, each with the bits of its own call
+    return np.array([_series_sum(evalT, t_inf, d, omega_s, K)
+                     for d in D.ravel().tolist()]).reshape(D.shape)
+
+
+def _series_sum(evalT, t_inf: float, D: float, omega_s: float, K: int) -> float:
+    """The F-transform -t_inf + F[evalT] at one duty D; see f_transform_series."""
     terms = _raw_terms(evalT, D, omega_s, K)
 
     def windowed(n: int) -> float:

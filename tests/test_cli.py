@@ -257,7 +257,7 @@ def test_pole_sweep_downward_reports_the_crossing_as_an_exit(tmp_path):
     r = run_cli("poles", "--config", config_path("ex1_poles.cfg"),
                 "--sweep", "k_p:9.0:8.0:11", "--out", str(tmp_path / "p.csv"))
     assert r.returncode == 0, r.stderr
-    assert "crossing: exit at k_p = 8.6257125814246525" in r.stdout
+    assert "crossing: exit at k_p = 8.6257125814246258" in r.stdout
 
 
 def test_pole_single_point_spectrum(tmp_path):
@@ -283,7 +283,7 @@ def test_poles_sweep_away_from_an_unbuildable_config_point(tmp_path):
     out = tmp_path / "p.csv"
     r = run_cli("poles", "--config", str(cfg), "--out", str(out))
     assert r.returncode == 0, r.stderr
-    assert "crossing: enter at p = 0.49971467906234368" in r.stdout
+    assert "crossing: enter at p = 0.49971467906233419" in r.stdout
     header, rows = read_csv(out)
     assert len(header) == 1 + 2 * 5 + 1
     assert len(rows) == 4 and all(row[-1] == "" for row in rows)

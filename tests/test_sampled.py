@@ -79,6 +79,18 @@ def test_saturated_orbit_is_rejected(ex1):
         poincare_jacobian(ex1, RLP(k_p=8.0), (np.array([20.0]), 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rel", [0.0, -1e-6, math.nan, math.inf])
+def test_difference_step_must_be_positive_and_finite(ex1, rel):
+    # a zero or NaN step gave an all-NaN Jacobian and a RuntimeWarning
+    orbit = steady_state(ex1, RLP(k_p=8.0))
+    eng = CycleEngine(build_closed_loop(ex1, RLP(k_p=8.0)))
+    with pytest.raises(DomainError, match="rel must be positive"):
+        cycle_jacobian(eng, orbit[0], rel)
+    with pytest.raises(DomainError, match="rel must be positive"):
+        poincare_jacobian(ex1, RLP(k_p=8.0), orbit, rel=rel)
+
+
 # ------------------------------------------------- finite-difference quality
 
 

@@ -11,6 +11,7 @@ from scipy.linalg import expm as scipy_expm
 
 import subharmonic.simulation as simulation
 from subharmonic import (
+    ACMC,
     CFPVR,
     CMC,
     PVMC,
@@ -709,6 +710,105 @@ def test_orbit_confirmation_does_not_depend_on_the_voltage_scale(
         assert (got is None) == (ref is None), k
         if ref is not None:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+def _pinned_points(ex1, ex2, sch2, ex3, sch4_at):
+    # every *_poles grid point, every *_sim config and every scenario: all
+    # RLP, ACMC or VMC3, the loops whose averaged balance pins the duty
+    for name in POLES_CONFIGS:
+        cfg = load_config(config_path(name))
+        at = sweep_point(cfg.params, cfg.scheme, cfg.sweep.variable)
+        for v in cfg.sweep.grid():
+            yield f"{name} {v!r}", at(v)[:2]
+    for name in SIM_CONFIGS:
+        cfg = load_config(config_path(name))
+        yield name, (cfg.params, cfg.scheme)
+    for name, _, _ in SCENARIOS:
+        yield name, _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+
+
+def test_pinned_duty_orbit_is_the_scanned_one(ex1, ex2, sch2, ex3, sch4_at,
+                                             monkeypatch):
+    count = 0
+    for label, (params, scheme) in _pinned_points(ex1, ex2, sch2, ex3, sch4_at):
+        assert isinstance(scheme, (RLP, ACMC, VMC3)), label
+        eng = CycleEngine(build_closed_loop(params, scheme))
+        assert len(simulation._scanned_duties(eng)) == 1, label
+        x, d, J = simulation._orbit(eng)
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "_orbit_duties", simulation._scanned_duties)
+            x_s, d_s, J_s = simulation._orbit(eng)
+        assert np.max(np.abs(x - x_s)) <= 1e-12 * np.max(np.abs(x_s)), label
+        assert abs(d - d_s) <= 1e-12 * d_s, label
+        assert np.max(np.abs(J - J_s)) <= 1e-10 * np.max(np.abs(J_s)), label
+        count += 1
+    points = sum(len(load_config(config_path(name)).sweep.grid())
+                 for name in POLES_CONFIGS)
+    assert count == points + len(SIM_CONFIGS) + len(SCENARIOS) == 71
+
+
+@pytest.mark.parametrize("error", [-1e-6, 1e-6])
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_a_wrong_pinned_duty_is_rejected_not_trusted(name, error, ex1, ex2,
+                                                     sch2, ex3, sch4_at,
+                                                     monkeypatch):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    d = scheme._orbit_duty(params)
+    assert abs(steady_state(params, scheme)[1] - d) <= 1e-13
+    monkeypatch.setattr(type(scheme), "_orbit_duty",
+                        lambda self, params: d + error)
+    with pytest.raises(NoConvergence, match="pins the duty at"):
+        steady_state(params, scheme)
+
+
+def test_unpinned_orbit_keeps_the_scan_and_its_bits():
+    # CMC has no integrator: its duty (0.28971) is not the nominal 0.3, so
+    # the orbit still comes from the det M scan, with the bits it had
+    # before the pinned route existed
+    cfg = load_config(config_path("cmc_critical.cfg"))
+    assert cfg.scheme._orbit_duty(cfg.params) is None
+    eng = CycleEngine(build_closed_loop(cfg.params, cfg.scheme))
+    found, scanned = simulation._orbit_duties(eng), simulation._scanned_duties(eng)
+    assert [(x.tobytes(), d) for x, d in found] == [(x.tobytes(), d)
+                                                    for x, d in scanned]
+    x, d, J = simulation._orbit(eng)
+    assert [v.hex() for v in x] == ["0x1.65a7ea6c89aafp+1", "0x1.72bbbd83efa7ap+1"]
+    assert d.hex() == "0x1.28a98faa234bfp-2"
+    assert [v.hex() for v in J.ravel()] == [
+        "-0x1.a25271bcba254p-2", "-0x1.c1d37769b5ea5p-5",
+        "-0x1.6e083080b7480p-10", "0x1.ce4b019b0a174p-1"]
+    assert [(z.real.hex(), z.imag) for z in poles(cfg.params, cfg.scheme).eigenvalues] == [
+        ("0x1.ce52ab3d5a0b2p-1", 0.0), ("-0x1.a261c5015a0d0p-2", 0.0)]
+
+
+@pytest.mark.parametrize("x_init", ["bogus", [1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("name", ["rl_gain_8", "avg_current_049", "type3_half"])
+def test_bad_initial_state_is_rejected_before_the_pinned_solve(
+        name, x_init, ex1, ex2, sch2, ex3, sch4_at, monkeypatch):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+
+    def no_work(eng):
+        raise AssertionError("candidates built before x_init was checked")
+
+    monkeypatch.setattr(simulation, "_orbit_duties", no_work)
+    with pytest.raises(DomainError, match="x_init"):
+        steady_state(params, scheme, x_init=x_init)
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS])
+def test_one_candidate_needs_no_auto_state(name, ex1, ex2, sch2, ex3, sch4_at,
+                                           monkeypatch):
+    params, scheme = _scenario(name, ex1, ex2, sch2, ex3, sch4_at)
+    want = steady_state(params, scheme)
+    built = simulation._initial_state
+
+    def no_auto(params, scheme, x_init, n):
+        assert not isinstance(x_init, str), "auto state built for one candidate"
+        return built(params, scheme, x_init, n)
+
+    monkeypatch.setattr(simulation, "_initial_state", no_auto)
+    x, d = steady_state(params, scheme)
+    assert np.array_equal(x, want[0]) and d == want[1]
 
 
 def test_five_state_fixed_point(ex3, sch3):

@@ -403,6 +403,24 @@ def test_series_takes_numpy_integer_term_counts():
         assert f_transform_series(T, 0.4, WS, K=K) == want
 
 
+@pytest.mark.parametrize("D", [np.array(0.3), [0.3, 0.4], [[0.3, 0.4], [0.55, 0.9]]],
+                         ids=["0-d", "(2,)", "(2, 2)"])
+def test_series_broadcasts_an_array_duty_with_the_bits_of_scalar_calls(D):
+    T = RationalTF(1.0, poles=[3.0])
+    got = f_transform_series(T, D, 6.28)
+    D = np.asarray(D)
+    want = np.array([f_transform_series(T, float(d), 6.28)
+                     for d in D.ravel()]).reshape(D.shape)
+    assert type(got) is float if D.ndim == 0 else got.shape == D.shape
+    assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+    np.testing.assert_allclose(got, f_transform_rational(T, D, 6.28), rtol=1e-7)
+
+
+def test_series_at_a_scalar_duty_is_a_float_with_pinned_bits():
+    got = f_transform_series(RationalTF(1.0, poles=[3.0]), 0.3, 6.28)
+    assert type(got) is float and got.hex() == "-0x1.f805f2e1460e5p-1"
+
+
 @pytest.mark.parametrize("K", [10, 10_000])
 def test_series_refuses_a_sum_that_is_not_finite(K):
     # the first harmonics are nan, the tail decays like 1/s

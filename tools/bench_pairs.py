@@ -13,10 +13,13 @@ metrics.
 Prints every run's metrics with its ``correct`` flag and failed count,
 each pair's winner on verdicts_per_s (higher is better; a tie counts for
 neither side), the win count, and each side's median and quartiles of
-every metric.  The last line says whether a gain in verdicts_per_s may
-be claimed: the change wins at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's interquartile
-range.  The exit code is 1 when a run failed or reported
+every metric.  For every other end-to-end metric of ``BENCHMARK.json``
+(setup_s, peak_rss_mb), read with its direction, it then says whether
+the change's median is worse than the parent's by more than the
+parent's interquartile range.  The last line says whether a gain in
+verdicts_per_s may be claimed: the change wins at least nine tenths of
+the pairs and its median beats the parent's by more than the parent's
+interquartile range.  The exit code is 1 when a run failed or reported
 ``correct: false`` or failed operations.
 """
 
@@ -31,6 +34,12 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC = "verdicts_per_s"
+
+
+def directions() -> dict:
+    """Each end-to-end metric's "better" ("lower" or "higher"), by name."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -99,6 +108,16 @@ def main(argv=None) -> int:
             q1, med, q3 = stats[side, name]
             print(f"{name} {side}: median {med:.6g}, quartiles {q1:.6g} .. {q3:.6g}, "
                   f"IQR {q3 - q1:.6g}, n {len(values)}")
+    for name, better in directions().items():
+        if name == METRIC or not {("parent", name), ("change", name)} <= stats.keys():
+            continue
+        pq1, pmed, pq3 = stats["parent", name]
+        cmed = stats["change", name][1]
+        worse = (cmed - pmed if better == "lower" else pmed - cmed) > pq3 - pq1
+        print(f"{name} ({better} is better): change median {cmed:.6g} vs parent "
+              f"{pmed:.6g}, parent IQR {pq3 - pq1:.6g}; "
+              + ("worse" if worse else "not worse")
+              + " by more than the parent's IQR")
     if ("parent", METRIC) in stats and ("change", METRIC) in stats:
         pq1, pmed, pq3 = stats["parent", METRIC]
         cmed = stats["change", METRIC][1]
